@@ -3,7 +3,9 @@
 # telemetry-enabled golden determinism check and the AllocsPerRun == 0
 # collector guard), a race-checked run of the concurrent execution
 # stack (internal/sim + internal/runner + internal/telemetry +
-# internal/replay + internal/fault), the chaos suite (fault matrix +
+# internal/replay + internal/fault) and of the machine recycling it
+# shares across runs (internal/cache + internal/replacement +
+# internal/recycle), the chaos suite (fault matrix +
 # crash-recovery property tests, race-enabled — including the SIGKILL
 # restart-and-resume property test against a real pinted process), and
 # the race-enabled pinted service smoke (serve-check).
@@ -44,7 +46,8 @@ test:
 
 race:
 	$(GO) test -race ./internal/sim/... ./internal/runner/... \
-		./internal/telemetry/... ./internal/replay/... ./internal/fault/...
+		./internal/telemetry/... ./internal/replay/... ./internal/fault/... \
+		./internal/cache/... ./internal/replacement/... ./internal/recycle/...
 
 # Chaos suite: the fault-injection matrix, the randomized crash-recovery
 # property test and the durability tests, race-enabled. Asserts every

@@ -2,7 +2,11 @@
 // study evaluates: bimodal, GShare, perceptron and hashed perceptron.
 package branch
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/recycle"
+)
 
 // Predictor guesses conditional branch directions. Predict returns the
 // guess for pc; Update trains with the resolved outcome. Implementations
@@ -234,12 +238,19 @@ func NewHashedPerceptron() *HashedPerceptron {
 	lens := []int{0, 2, 4, 8, 16, 24, 32, 64}
 	n := 1 << hpIndexBits
 	return &HashedPerceptron{
-		tables:  make([]int16, len(lens)*n),
+		tables:  recycle.Get[int16](len(lens) * n),
 		lens:    lens,
 		mask:    uint64(n - 1),
 		theta:   int32(1.93*float64(len(lens)) + 14),
 		lastIdx: make([]uint64, len(lens)),
 	}
+}
+
+// Release hands the weight tables back for the next predictor built;
+// the predictor is unusable afterwards.
+func (h *HashedPerceptron) Release() {
+	recycle.Put(h.tables)
+	h.tables = nil
 }
 
 // Name implements Predictor.

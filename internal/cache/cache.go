@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"repro/internal/recycle"
 	"repro/internal/replacement"
 )
 
@@ -245,12 +246,12 @@ func New(cfg Config) (*Cache, error) {
 		sets:    sets,
 		ways:    cfg.Ways,
 		setBits: uint(bits.TrailingZeros(uint(sets))),
-		blocks:  make([]Block, sets*cfg.Ways),
-		tags:    make([]uint64, sets*cfg.Ways),
-		memoTag: make([]uint64, sets),
-		memoWay: make([]int32, sets),
-		memoPos: make([]int32, sets),
-		freeCnt: make([]int32, sets),
+		blocks:  recycle.Get[Block](sets * cfg.Ways),
+		tags:    recycle.Get[uint64](sets * cfg.Ways),
+		memoTag: recycle.Get[uint64](sets),
+		memoWay: recycle.Get[int32](sets),
+		memoPos: recycle.Get[int32](sets),
+		freeCnt: recycle.Get[int32](sets),
 		policy:  pol,
 		Stats:   newStats(cfg.Cores, cfg.Ways),
 	}
@@ -267,6 +268,23 @@ func New(cfg Config) (*Cache, error) {
 	c.lru, _ = pol.(*replacement.LRU)
 	c.missTag = noTag
 	return c, nil
+}
+
+// Release hands the cache's arrays and its policy's per-set state back
+// for the next cache built with the same geometry. The cache is unusable
+// afterwards: its arrays are nil, so any later access panics. Releasing
+// twice is harmless. Only the cache's owner may release it, once nothing
+// reads it any more; Stats stay readable, they are never recycled.
+func (c *Cache) Release() {
+	c.policy.Release()
+	recycle.Put(c.blocks)
+	recycle.Put(c.tags)
+	recycle.Put(c.memoTag)
+	recycle.Put(c.memoWay)
+	recycle.Put(c.memoPos)
+	recycle.Put(c.freeCnt)
+	c.blocks, c.tags, c.freeCnt = nil, nil, nil
+	c.memoTag, c.memoWay, c.memoPos = nil, nil, nil
 }
 
 // MustNew is New that panics on configuration errors.

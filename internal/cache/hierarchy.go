@@ -297,6 +297,19 @@ func MustNewHierarchy(cfg HierarchyConfig, mem Memory) *Hierarchy {
 	return h
 }
 
+// Release recycles every level's arrays (see Cache.Release); the
+// hierarchy is unusable afterwards, while its Stats stay readable. Only
+// the goroutine that built the hierarchy releases it, once its run is
+// over; releasing twice is harmless.
+func (h *Hierarchy) Release() {
+	for core := 0; core < h.cores; core++ {
+		h.l1i[core].Release()
+		h.l1d[core].Release()
+		h.l2[core].Release()
+	}
+	h.llc.Release()
+}
+
 // LLC returns the shared last-level cache (the PInTE attachment point).
 func (h *Hierarchy) LLC() *Cache { return h.llc }
 

@@ -68,7 +68,7 @@ const (
 	// Campaign service (internal/server): service-layer faults.
 	SiteServerAdmit       = "server.admit"        // the admission check dies before reaching a verdict
 	SiteServerStreamWrite = "server.stream.write" // a result-stream write toward a client fails
-	SiteServerManifest    = "server.manifest"     // the durable manifest write fails
+	SiteServerManifest    = "server.manifest"     // the durable manifest write fails; with a delay, a state transition stalls
 )
 
 // ErrInjected is the sentinel every injected error wraps; chaos tests

@@ -1,5 +1,7 @@
 package replacement
 
+import "repro/internal/recycle"
+
 // LRU is true least-recently-used replacement: a per-block timestamp
 // records the last touch; the victim is the oldest block.
 type LRU struct {
@@ -17,8 +19,14 @@ func (p *LRU) Name() string { return "lru" }
 // Reset implements Policy.
 func (p *LRU) Reset(sets, ways int) {
 	p.ways = ways
-	p.age = make([]uint64, sets*ways)
+	p.age = recycle.Get[uint64](sets * ways)
 	p.clock = 1
+}
+
+// Release implements Policy.
+func (p *LRU) Release() {
+	recycle.Put(p.age)
+	p.age = nil
 }
 
 func (p *LRU) touch(set, way int) {

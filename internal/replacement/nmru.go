@@ -1,6 +1,9 @@
 package replacement
 
-import "repro/internal/rng"
+import (
+	"repro/internal/recycle"
+	"repro/internal/rng"
+)
 
 // NMRU is not-most-recently-used replacement: it protects only the single
 // most recently touched block per set and victimises a uniformly random
@@ -26,10 +29,16 @@ func (p *NMRU) Name() string { return "nmru" }
 // Reset implements Policy.
 func (p *NMRU) Reset(sets, ways int) {
 	p.ways = ways
-	p.mru = make([]int32, sets)
+	p.mru = recycle.Get[int32](sets)
 	for i := range p.mru {
 		p.mru[i] = -1
 	}
+}
+
+// Release implements Policy.
+func (p *NMRU) Release() {
+	recycle.Put(p.mru)
+	p.mru = nil
 }
 
 // OnFill implements Policy.

@@ -1,6 +1,10 @@
 package replacement
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"repro/internal/recycle"
+)
 
 // PLRU is tree-based pseudo-LRU (binary-tree bits per set), the
 // implementation style of the patent the paper cites [54]. Ways must be a
@@ -30,7 +34,13 @@ func (p *PLRU) Reset(sets, ways int) {
 	}
 	p.ways = ways
 	p.levels = bits.TrailingZeros(uint(ways))
-	p.tree = make([]uint32, sets)
+	p.tree = recycle.Get[uint32](sets)
+}
+
+// Release implements Policy.
+func (p *PLRU) Release() {
+	recycle.Put(p.tree)
+	p.tree = nil
 }
 
 // node indexing: root at 1, children of n at 2n and 2n+1; bit for node n

@@ -18,7 +18,13 @@ type Policy interface {
 	Name() string
 
 	// Reset (re)initialises state for a cache with the given geometry.
+	// Its per-set arrays come from internal/recycle, zeroed and then
+	// initialised exactly as a fresh allocation would be.
 	Reset(sets, ways int)
+
+	// Release hands the per-set state back for reuse; the policy is
+	// unusable until the next Reset. Releasing twice is harmless.
+	Release()
 
 	// OnFill records that way in set was filled with a new block.
 	OnFill(set, way int)

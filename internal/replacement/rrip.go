@@ -1,5 +1,7 @@
 package replacement
 
+import "repro/internal/recycle"
+
 // RRIP is static re-reference interval prediction (SRRIP, Jaleel et al.
 // ISCA 2010) with 2-bit re-reference prediction values (RRPV). Blocks are
 // inserted with a "long" prediction (RRPV max-1), promoted to "near"
@@ -22,10 +24,16 @@ func (p *RRIP) Name() string { return "rrip" }
 // Reset implements Policy.
 func (p *RRIP) Reset(sets, ways int) {
 	p.ways = ways
-	p.rrpv = make([]uint8, sets*ways)
+	p.rrpv = recycle.Get[uint8](sets * ways)
 	for i := range p.rrpv {
 		p.rrpv[i] = rrpvMax
 	}
+}
+
+// Release implements Policy.
+func (p *RRIP) Release() {
+	recycle.Put(p.rrpv)
+	p.rrpv = nil
 }
 
 // OnFill implements Policy: insert with long re-reference prediction.

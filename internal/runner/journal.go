@@ -48,7 +48,6 @@ type journalEntry struct {
 type Journal struct {
 	mu sync.Mutex
 	f  *os.File
-	w  *bufio.Writer
 }
 
 // maxEntryBytes bounds one journal line (a Result with samples and
@@ -75,18 +74,19 @@ const (
 	crcPrefixLen = crcHexLen + 2 // sigil + hex + space
 )
 
-// frameEntry renders one checksummed journal line (without newline).
+// frameEntry renders one checksummed journal line, newline included.
 func frameEntry(key string, res *sim.Result) ([]byte, error) {
 	payload, err := json.Marshal(journalEntry{Key: key, Result: res})
 	if err != nil {
 		return nil, err
 	}
-	line := make([]byte, crcPrefixLen+len(payload))
+	line := make([]byte, crcPrefixLen+len(payload)+1)
 	line[0] = crcSigil
 	sum := crc32.Checksum(payload, crcTable)
 	hex.Encode(line[1:1+crcHexLen], []byte{byte(sum >> 24), byte(sum >> 16), byte(sum >> 8), byte(sum)})
 	line[crcPrefixLen-1] = ' '
 	copy(line[crcPrefixLen:], payload)
+	line[len(line)-1] = '\n'
 	return line, nil
 }
 
@@ -211,7 +211,7 @@ func OpenJournal(path string) (*Journal, map[string]*sim.Result, LoadStats, erro
 	if err != nil {
 		return nil, nil, st, err
 	}
-	return &Journal{f: f, w: bufio.NewWriterSize(f, 256<<10)}, done, st, nil
+	return &Journal{f: f}, done, st, nil
 }
 
 // trimTornTail truncates path to its last newline when the file ends
@@ -269,8 +269,8 @@ scan:
 	return f.Sync()
 }
 
-// Append records one completed result as a checksummed line and flushes
-// it.
+// Append records one completed result as a checksummed line, written
+// with a single write and synced.
 func (j *Journal) Append(key string, res *sim.Result) error {
 	line, err := frameEntry(key, res)
 	if err != nil {
@@ -286,18 +286,11 @@ func (j *Journal) Append(key string, res *sim.Result) error {
 		// with no newline — exactly the torn write a power loss
 		// produces, which the next LoadJournal must classify as a
 		// benign truncated tail.
-		j.w.Write(line[:len(line)/2]) //nolint:errcheck // injected crash
-		j.w.Flush()                   //nolint:errcheck
+		j.f.Write(line[:len(line)/2]) //nolint:errcheck // injected crash
 		j.f.Sync()                    //nolint:errcheck
 		return fmt.Errorf("%w at %s", fault.ErrInjected, fault.SiteJournalAppendPartial)
 	}
-	if _, err := j.w.Write(line); err != nil {
-		return err
-	}
-	if err := j.w.WriteByte('\n'); err != nil {
-		return err
-	}
-	if err := j.w.Flush(); err != nil {
+	if _, err := j.f.Write(line); err != nil {
 		return err
 	}
 	// Push the line to stable storage so a power loss, not just a
@@ -305,14 +298,11 @@ func (j *Journal) Append(key string, res *sim.Result) error {
 	return j.f.Sync()
 }
 
-// Close flushes and closes the underlying file.
+// Close closes the underlying file; every appended line is already
+// written.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if err := j.w.Flush(); err != nil {
-		j.f.Close()
-		return err
-	}
 	return j.f.Close()
 }
 
@@ -385,7 +375,6 @@ func CompactJournal(path string) (CompactStats, error) {
 		os.Remove(tmp)
 		return st, err
 	}
-	w := bufio.NewWriterSize(f, 256<<10)
 	for _, k := range keys {
 		if err := fault.Err(fault.SiteJournalCompactWrite); err != nil {
 			return fail(err)
@@ -394,15 +383,9 @@ func CompactJournal(path string) (CompactStats, error) {
 		if err != nil {
 			return fail(err)
 		}
-		if _, err := w.Write(line); err != nil {
+		if _, err := f.Write(line); err != nil {
 			return fail(err)
 		}
-		if err := w.WriteByte('\n'); err != nil {
-			return fail(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		return fail(err)
 	}
 	if err := f.Sync(); err != nil {
 		return fail(err)

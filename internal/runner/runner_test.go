@@ -260,6 +260,29 @@ func TestConfigKeyIgnoresStreams(t *testing.T) {
 	}
 }
 
+// TestRunAllResultsDropStreams: results of a replay-cached campaign —
+// fan-out groups and per-run configs alike — must not reference the
+// campaign's replay cache, or holding them would hold every recording.
+func TestRunAllResultsDropStreams(t *testing.T) {
+	cfgs := []sim.Config{
+		tinyCfg("433.milc", 0.1), tinyCfg("433.milc", 0.3), tinyCfg("433.milc", 0.6),
+		tinyCfg("470.lbm", 0.2),
+	}
+	o := New(Options{Workers: 2, Fanout: true, Streams: replay.NewCache(64 << 20)})
+	out, err := o.RunAll(context.Background(), cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range out.Results {
+		if r == nil {
+			t.Fatalf("run %d failed: %v", i, out.Failures)
+		}
+		if r.Config.Streams != nil {
+			t.Errorf("result %d keeps its campaign's stream provider", i)
+		}
+	}
+}
+
 func TestLoadJournalToleratesTruncation(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "sweep.journal")

@@ -3,6 +3,7 @@ package server
 import (
 	"net/http"
 	"testing"
+	"time"
 
 	"repro/internal/fault"
 	"repro/internal/telemetry"
@@ -138,5 +139,34 @@ func TestChaosServerDrainWithFaultyManifest(t *testing.T) {
 	events, _ := streamResults(t, ts2, st2.ID)
 	if len(events) != 2 {
 		t.Fatalf("restarted server replayed %d results, want 2", len(events))
+	}
+}
+
+// TestChaosServerFinalStateNotStale holds a campaign's final manifest
+// write open with a slow-disk delay and connects a result stream inside
+// that window: the stream must still end with the campaign's real final
+// state, never the "active" a not-yet-persisted manifest would report.
+func TestChaosServerFinalStateNotStale(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	// Hit 1 is the admission's manifest write; hit 2 is the finalize
+	// stall; the limit keeps the stalled write itself from failing.
+	if err := fault.Apply("seed=1;server.manifest:every=1,after=1,limit=1,delay=300ms"); err != nil {
+		t.Fatal(err)
+	}
+	defer fault.Disable()
+	st := submitOK(t, ts, "alice", tinySpec())
+	deadline := time.Now().Add(60 * time.Second)
+	for fault.Snapshot()[fault.SiteServerManifest].Fires == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("campaign never reached its final manifest write")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	events, final := streamResults(t, ts, st.ID)
+	if len(events) != 3 || final == nil {
+		t.Fatalf("stream inside the finalize window delivered %d results (final %v), want 3", len(events), final)
+	}
+	if final["state"] != string(StateDone) {
+		t.Fatalf("stream ended with state %v, want %q", final["state"], StateDone)
 	}
 }

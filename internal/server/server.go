@@ -318,12 +318,13 @@ func (s *Server) campaignLogf(id string) func(string, ...any) {
 }
 
 // finalize classifies a finished campaign run, persists its terminal
-// state (or leaves it active when a drain checkpointed it), compacts
-// the journal of a cleanly completed campaign, and releases the stream.
+// state (or leaves it active when a drain checkpointed it), retires it
+// from the live table, compacts the journal of a cleanly completed
+// campaign, and releases the stream. The state is persisted before the
+// campaign leaves the live table: a stream that connects in between is
+// served from the manifest, which must already hold the final state.
 func (s *Server) finalize(c *campaign, cctx context.Context, out *runner.Outcome, err error) {
 	id := c.meta.ID
-	telemetry.UnregisterCampaign(id)
-
 	canceled, hard := 0, 0
 	if out != nil {
 		for _, f := range out.HardFailures() {
@@ -336,9 +337,7 @@ func (s *Server) finalize(c *campaign, cctx context.Context, out *runner.Outcome
 	}
 	s.mu.Lock()
 	draining := s.draining
-	delete(s.campaigns, id)
 	s.mu.Unlock()
-	telemetry.Server.ActiveCampaigns.Add(-1)
 
 	var state CampaignState
 	var msg string
@@ -350,6 +349,7 @@ func (s *Server) finalize(c *campaign, cctx context.Context, out *runner.Outcome
 		// Drain checkpoint: the shed runs stay pending in the journal
 		// and the manifest stays active, so the next start resumes them.
 		s.logf("campaign %s: checkpointed by drain with %d runs pending; will resume on restart", id, canceled)
+		s.retire(id)
 		c.finish(StateActive)
 		return
 	case c.userCanceled.Load():
@@ -368,6 +368,7 @@ func (s *Server) finalize(c *campaign, cctx context.Context, out *runner.Outcome
 		// journal resumes to an immediate re-finalize).
 		s.logf("campaign %s: persisting final state %s: %v", id, state, serr)
 	}
+	s.retire(id)
 	switch state {
 	case StateDone:
 		telemetry.Server.CampaignsDone.Add(1)
@@ -383,6 +384,15 @@ func (s *Server) finalize(c *campaign, cctx context.Context, out *runner.Outcome
 		s.logf("campaign %s: canceled: %s", id, msg)
 	}
 	c.finish(state)
+}
+
+// retire removes a finished campaign from the live table.
+func (s *Server) retire(id string) {
+	telemetry.UnregisterCampaign(id)
+	s.mu.Lock()
+	delete(s.campaigns, id)
+	s.mu.Unlock()
+	telemetry.Server.ActiveCampaigns.Add(-1)
 }
 
 // Cancel cancels a live campaign. It reports whether id was live.

@@ -59,6 +59,17 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Cleanup(func() {
 		ts.Close()
 		s.Close()
+		// A campaign whose final state a test already saw may still be
+		// compacting its journal; let it finish before the data dir goes.
+		idle := make(chan struct{})
+		go func() {
+			s.wg.Wait()
+			close(idle)
+		}()
+		select {
+		case <-idle:
+		case <-time.After(10 * time.Second):
+		}
 	})
 	return s, ts
 }

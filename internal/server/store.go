@@ -182,6 +182,12 @@ func (st *Store) Put(meta CampaignMeta) error {
 // SetState transitions a campaign's durable state (with rollback on a
 // failed write) and stamps Finished for terminal states.
 func (st *Store) SetState(id string, state CampaignState, errMsg string) error {
+	// Chaos: the manifest site armed with a delay is a slow disk. It
+	// stalls the transition before it takes the lock, so readers still
+	// see the prior state for the whole stall.
+	if d := fault.Delay(fault.SiteServerManifest); d > 0 {
+		time.Sleep(d)
+	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	cur, ok := st.m.Campaigns[id]

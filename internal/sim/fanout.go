@@ -586,6 +586,10 @@ func runFanFollower(cfg Config, cpuCfg cpu.Config, fr *fanFront, rd *replay.FanR
 	if err != nil {
 		return nil, err
 	}
+	// Only the follower's own machine is recycled. The front's capture
+	// hierarchy is read by every follower after the final digest, so it
+	// is left to the GC.
+	defer hier.Release()
 	st := &fanFollower{cfg: cfg, hier: hier, mem: mem}
 	var engine *pinte.Engine
 	if cfg.Mode == PInTE {
@@ -642,7 +646,7 @@ func runFanFollower(cfg Config, cpuCfg cpu.Config, fr *fanFront, rd *replay.FanR
 	}
 	st.smp.maybeSample(&st.samples)
 
-	res = &Result{Config: cfg, Samples: st.samples}
+	res = &Result{Config: resultConfig(cfg), Samples: st.samples}
 	fillResultParts(res, st.instrs-st.roiStartI, st.cycles-st.roiStartC,
 		&st.stats, fr.hier, hier, engine)
 	res.WallTime = time.Since(start)

@@ -205,6 +205,7 @@ func runSampled(ctx context.Context, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer hier.Release()
 	streams := cfg.Streams
 	if streams == nil {
 		streams = trace.Generate{}
@@ -228,6 +229,7 @@ func runSampled(ctx context.Context, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer release(bp0)
 	core0 := cpu.NewCore(0, cpuCfg, src, hier, bp0)
 	sys := cpu.NewSystem(core0)
 	sys.RestartFinished = true
@@ -322,7 +324,7 @@ func runSampled(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("%w: sampling plan has no usable windows", ErrBadConfig)
 	}
 
-	res := &Result{Config: cfg}
+	res := &Result{Config: resultConfig(cfg)}
 	res.Instrs = round(ext.instrs)
 	res.Cycles = round(ext.cycles)
 	if ext.cycles > 0 {

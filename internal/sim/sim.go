@@ -325,6 +325,23 @@ type Result struct {
 	WallTime time.Duration
 }
 
+// release recycles a run component's arrays when it has any (see
+// internal/recycle).
+func release(x any) {
+	if r, ok := x.(interface{ Release() }); ok {
+		r.Release()
+	}
+}
+
+// resultConfig is cfg as a Result records it: without the run-time
+// wiring (Streams, Sample), so a kept result never pins its campaign's
+// replay cache or sampling plan. Both fields are excluded from JSON, so
+// goldens and journal keys are unaffected.
+func resultConfig(cfg Config) Config {
+	cfg.Streams, cfg.Sample = nil, nil
+	return cfg
+}
+
 // WeightedIPC returns r.IPC normalised by an isolation IPC.
 func (r *Result) WeightedIPC(isolationIPC float64) float64 {
 	if isolationIPC == 0 {
@@ -431,6 +448,9 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The run owns its machine: it recycles the arrays when it returns,
+	// however it returns — even long after a watchdog abandoned it.
+	defer hier.Release()
 	var ctrl partition.Controller
 	if cfg.Partitioning != "" {
 		ctrl, err = partition.New(cfg.Partitioning, cores)
@@ -481,6 +501,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer release(bp0)
 	core0 := cpu.NewCore(0, cpuCfg, gen0, hier, bp0)
 	sys := cpu.NewSystem(core0)
 	sys.RestartFinished = true
@@ -539,6 +560,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
+			defer release(bp)
 			sys.Cores = append(sys.Cores, cpu.NewCore(1+i, advCPU, gen, hier, bp))
 		}
 	}
@@ -617,7 +639,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	// collector, when enabled, rides the same loop: its interval buffer
 	// is preallocated here so steady-state collection stays off the
 	// heap, and it only observes counters, never the machine state.
-	res := &Result{Config: cfg}
+	res := &Result{Config: resultConfig(cfg)}
 	sampler := newSampler(cfg, &core0.Instrs, &core0.Cycles, hier)
 	var col *telemetry.Collector
 	if cfg.TelemetryEvery > 0 {

@@ -345,8 +345,10 @@ func TestGCNeverEvictsSegmentWithActiveReader(t *testing.T) {
 func TestSingleFlightCollapsesDuplicates(t *testing.T) {
 	s := openT(t, Options{Dir: t.TempDir(), Fingerprint: "sim-test"})
 	const n = 16
-	var computes atomic.Int64
+	var computes, parked atomic.Int64
 	block := make(chan struct{})
+	testWaitHook = func() { parked.Add(1) }
+	defer func() { testWaitHook = nil }()
 	diff := storeDelta()
 	var wg sync.WaitGroup
 	results := make([]*sim.Result, n)
@@ -366,9 +368,9 @@ func TestSingleFlightCollapsesDuplicates(t *testing.T) {
 			results[i], vias[i] = res, via
 		}(i)
 	}
-	// Wait for the leader to be computing so every other goroutine piles
-	// onto its flight, then release.
-	for computes.Load() == 0 {
+	// Wait for the leader to be computing and every other goroutine to
+	// have joined its flight, then release.
+	for computes.Load() == 0 || parked.Load() < n-1 {
 		runtime.Gosched()
 	}
 	close(block)

@@ -42,20 +42,14 @@ type FrontEvent struct {
 }
 
 // FrontCapture accumulates the events and writeback addresses of a
-// capture pass. The executor swaps the backing slices out per batch;
-// Reset rearms them.
+// capture pass. The executor swaps the backing slices out per batch and
+// re-arms them itself (fanFront.rearm in internal/sim).
 type FrontCapture struct {
 	Events  []FrontEvent
 	WBAddrs []uint64
 
 	instrs *uint64
 	cur    FrontEvent
-}
-
-// Reset clears the captured streams, retaining capacity.
-func (c *FrontCapture) Reset() {
-	c.Events = c.Events[:0]
-	c.WBAddrs = c.WBAddrs[:0]
 }
 
 func (c *FrontCapture) openEvent(addr uint64, kind AccessKind) {
@@ -73,9 +67,12 @@ func (c *FrontCapture) closeEvent() { c.Events = append(c.Events, c.cur) }
 
 // SetFrontCapture switches the hierarchy into capture mode: every
 // demand access that misses a core's L1 is recorded into cap instead of
-// descending past the L2, and the LLC and memory are never touched.
-// instrs must point at the driving core's instruction counter (read at
-// event-open time to stamp each event with its trace record index).
+// descending past the L2, and the LLC and memory are never touched. The
+// LLC's arrays are therefore released here for another machine to
+// reuse; a later touch of the LLC panics like any use after release,
+// while its Stats stay readable. instrs must point at the driving
+// core's instruction counter (read at event-open time to stamp each
+// event with its trace record index).
 //
 // Capture mode is only sound when the levels above the LLC cannot be
 // influenced by it: the hierarchy must be non-inclusive (no
@@ -92,6 +89,7 @@ func (h *Hierarchy) SetFrontCapture(cap *FrontCapture, instrs *uint64) error {
 	}
 	cap.instrs = instrs
 	h.capture = cap
+	h.llc.Release()
 	return nil
 }
 

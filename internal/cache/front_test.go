@@ -172,3 +172,25 @@ func TestFrontCaptureRejectsUnsupported(t *testing.T) {
 		t.Error("prefetcher-equipped hierarchy accepted front capture")
 	}
 }
+
+// TestFrontCaptureReleasesLLC: capture mode hands the LLC's arrays back
+// at SetFrontCapture, so the capture hierarchy's LLC is unusable — a
+// descend into it panics — while its Stats stay readable.
+func TestFrontCaptureReleasesLLC(t *testing.T) {
+	h := MustNewHierarchy(tinyHierCfg(1, NonInclusive), &deadMemory{t: t})
+	var cap FrontCapture
+	var instrs uint64
+	if err := h.SetFrontCapture(&cap, &instrs); err != nil {
+		t.Fatal(err)
+	}
+	h.ResetStats() // the front resets its stats after warm-up
+	if h.LLC().Stats.Hits[0] != 0 {
+		t.Fatal("released LLC's stats unreadable")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("DescendLLC on a capture hierarchy did not panic")
+		}
+	}()
+	h.DescendLLC(0, 0x1000, 0)
+}

@@ -376,7 +376,16 @@ func (h *Hierarchy) fromL2(core int, pc, addr uint64, now uint64) uint64 {
 	lat := l2.HitLatency()
 	hit := l2.Lookup(addr, core, false)
 	if !hit {
-		lat += h.fromLLC(core, addr, now+lat)
+		if h.capture != nil {
+			// Capture mode: the LLC (and everything below) is per-point
+			// state a follower replays via DescendLLC; record the descent
+			// and add a latency nobody reads (the front's clock is not a
+			// point's clock).
+			h.capture.markDescend()
+			lat += h.llc.HitLatency()
+		} else {
+			lat += h.fromLLC(core, addr, now+lat)
+		}
 		h.fillL2(core, addr, false)
 	}
 	if pf := h.pfL2[core]; pf != nil {
@@ -388,14 +397,6 @@ func (h *Hierarchy) fromL2(core int, pc, addr uint64, now uint64) uint64 {
 // fromLLC continues a demand miss below the L2. The PInTE injector, when
 // attached, runs inside llc.Lookup on both hits and misses.
 func (h *Hierarchy) fromLLC(core int, addr uint64, now uint64) uint64 {
-	if h.capture != nil {
-		// Capture mode: the LLC (and everything below) is per-point
-		// state a follower replays via DescendLLC; record the descent
-		// and return a latency nobody reads (the front's clock is not a
-		// point's clock).
-		h.capture.markDescend()
-		return h.llc.HitLatency()
-	}
 	lat := h.llc.HitLatency()
 	if h.llc.Lookup(addr, core, false) {
 		if h.incl == Exclusive {

@@ -52,6 +52,15 @@ import (
 // sequential run, so record consumption and sample placement match.
 const fanQuantum = uint64(cpu.DefaultQuantum)
 
+// fanDigestBatch is the digest executor's shared batch in records. The
+// decode buffer and the double-buffered digests scale with the batch,
+// so a small one keeps a group's buffers to a few hundred KiB; each
+// 64Ki-record replay chunk is still decoded once, in slices. The
+// lockstep executor keeps full-chunk batches: its points are whole
+// machines, and switching between them every 4Ki records costs them
+// their host-cache locality (25–35% slower in a measured prototype).
+const fanDigestBatch = 4096
+
 // errFanAborted reports a follower whose shared front ended before it.
 var errFanAborted = errors.New("sim: fan-out front ended before its followers")
 
@@ -163,7 +172,7 @@ func RunFanGroup(ctx context.Context, cfgs []Config, grace time.Duration) []FanP
 	if digest {
 		runFanDigest(ctx, norm, spec, streams, grace, start, pts)
 	} else {
-		runFanLockstep(ctx, norm, spec, streams, grace, start, pts)
+		runFanLockstep(ctx, norm, spec, streams, grace, pts)
 	}
 	return pts
 }
@@ -274,7 +283,7 @@ func (p *fanProvider) Source(spec trace.Spec, seed, base uint64) (trace.Source, 
 // runFanLockstep runs each point as a full simulation over a shared
 // decode. Per-point chaos sites (sim.source, trace.read) fire inside
 // each point's own RunContext, exactly as they do sequentially.
-func runFanLockstep(ctx context.Context, norm []Config, spec trace.Spec, streams trace.SourceProvider, grace time.Duration, start time.Time, pts []FanPoint) {
+func runFanLockstep(ctx context.Context, norm []Config, spec trace.Spec, streams trace.SourceProvider, grace time.Duration, pts []FanPoint) {
 	seed := norm[0].Seed + 1
 	src, err := streams.Source(spec, seed, 0)
 	if err != nil {
@@ -306,7 +315,6 @@ func runFanLockstep(ctx context.Context, norm []Config, spec trace.Spec, streams
 		}(i, cfg)
 	}
 	collectFan(ctx, fan, ch, grace, pts)
-	_ = start
 }
 
 // ---------------------------------------------------------------------
@@ -425,10 +433,13 @@ func (fr *fanFront) run(cfg Config, cpuCfg cpu.Config) error {
 	if err != nil {
 		return err
 	}
+	// Followers read only the hierarchy's Stats, which Release keeps.
+	defer hier.Release()
 	bp, err := branch.New(cfg.Branch)
 	if err != nil {
 		return err
 	}
+	defer release(bp)
 	tap := &mispTap{inner: bp, misp: &fr.misp}
 	core := cpu.NewCore(0, cpuCfg, &frontFeed{fr: fr}, hier, tap)
 	tap.instrs = &core.Instrs
@@ -461,7 +472,8 @@ func (fr *fanFront) run(cfg Config, cpuCfg cpu.Config) error {
 
 // noMem backs the capture-mode hierarchy: capture stops every access at
 // the L2 boundary, so a memory touch means the mode's preconditions were
-// violated — fail loudly rather than corrupt the equivalence.
+// violated — fail loudly rather than corrupt the equivalence. The
+// hierarchy's LLC panics the same way: SetFrontCapture releases it.
 type noMem struct{}
 
 func (noMem) Access(now, addr uint64, isWrite bool) uint64 {
@@ -488,7 +500,7 @@ func runFanDigest(ctx context.Context, norm []Config, spec trace.Spec, streams t
 		src = &faultSource{src: src}
 	}
 	fresh := func() (trace.Source, error) { return streams.Source(spec, seed, 0) }
-	fan := replay.NewFan(src, n+1, 0, fresh)
+	fan := replay.NewFan(src, n+1, fanDigestBatch, fresh)
 
 	cpuCfg := norm[0].CPU
 	if cpuCfg.MLP == 0 {
@@ -586,9 +598,6 @@ func runFanFollower(cfg Config, cpuCfg cpu.Config, fr *fanFront, rd *replay.FanR
 	if err != nil {
 		return nil, err
 	}
-	// Only the follower's own machine is recycled. The front's capture
-	// hierarchy is read by every follower after the final digest, so it
-	// is left to the GC.
 	defer hier.Release()
 	st := &fanFollower{cfg: cfg, hier: hier, mem: mem}
 	var engine *pinte.Engine

@@ -4,9 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
+	"repro/internal/replay"
 	"repro/internal/trace"
 )
 
@@ -181,4 +183,104 @@ func TestFanoutReplayBacked(t *testing.T) {
 		cfgs[i].Streams = trace.Generate{}
 	}
 	checkFanEquivalence(t, cfgs)
+}
+
+// TestFanoutDigestBatchStraddle checks the digest executor where its
+// small shared batches meet the run's window: a warm-up that ends inside
+// a batch, an ROI that is not a multiple of the batch, and a run that
+// crosses a 64Ki-record replay chunk. Every point must match its per-run
+// twin byte for byte, over a live generator and over a replay cache
+// (recording, then replaying).
+func TestFanoutDigestBatchStraddle(t *testing.T) {
+	cases := []struct {
+		name        string
+		warmup, roi uint64
+	}{
+		{name: "warmup-ends-mid-batch", warmup: 10_000, roi: 4 * fanDigestBatch},
+		{name: "roi-not-batch-multiple", warmup: 2 * fanDigestBatch, roi: 30_000},
+		{name: "roi-crosses-replay-chunk", warmup: 60_000, roi: 20_000},
+	}
+	if end := cases[2].warmup + cases[2].roi; end <= 1<<16 {
+		t.Fatalf("run ends at record %d, inside the first replay chunk", end)
+	}
+	mk := func(warmup, roi uint64, streams trace.SourceProvider) []Config {
+		var cfgs []Config
+		for _, p := range []float64{0, 0.1, 0.6} {
+			cfg := Config{Workload: "433.milc", WarmupInstrs: warmup, ROIInstrs: roi,
+				SampleEvery: 5_000, Seed: 4, Streams: streams}
+			if p > 0 {
+				cfg.Mode, cfg.PInduce = PInTE, p
+			}
+			cfgs = append(cfgs, cfg)
+		}
+		return cfgs
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			want := make([]string, 0, 3)
+			for _, cfg := range mk(tc.warmup, tc.roi, nil) {
+				want = append(want, resultJSON(t, run(t, cfg)))
+			}
+			cache := replay.NewCache(64 << 20)
+			for _, src := range []struct {
+				name    string
+				streams trace.SourceProvider
+			}{
+				{"generated", trace.Generate{}},
+				{"recording", cache},
+				{"replayed", cache},
+			} {
+				pts := RunFanGroup(context.Background(), mk(tc.warmup, tc.roi, src.streams), 0)
+				for i, p := range pts {
+					if p.Err != nil {
+						t.Fatalf("%s point %d: %v", src.name, i, p.Err)
+					}
+					if got := resultJSON(t, p.Res); got != want[i] {
+						t.Errorf("%s point %d differs from its per-run twin\nfan: %s\nrun: %s",
+							src.name, i, got, want[i])
+					}
+				}
+			}
+			if st := cache.Snapshot(); st.Hits == 0 {
+				t.Fatal("the replayed group never hit the cache")
+			}
+		})
+	}
+}
+
+// TestFanoutDigestGroupAllocs bounds what one steady-state digest group
+// allocates: batch-sized decode and digest buffers, a capture front that
+// hands its LLC back, and followers drawing their machines from the
+// recycle pools. A group sized by 64Ki-record chunks with a live capture
+// LLC allocated about 6.4 MiB.
+func TestFanoutDigestGroupAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a share of released arrays under the race detector")
+	}
+	cfgs := []Config{
+		{Workload: "453.povray", WarmupInstrs: 20_000, ROIInstrs: 100_000, Seed: 1},
+		{Workload: "453.povray", WarmupInstrs: 20_000, ROIInstrs: 100_000, Seed: 1, Mode: PInTE, PInduce: 0.1},
+		{Workload: "453.povray", WarmupInstrs: 20_000, ROIInstrs: 100_000, Seed: 1, Mode: PInTE, PInduce: 0.5},
+	}
+	group := func() {
+		for i, p := range RunFanGroup(context.Background(), cfgs, 0) {
+			if p.Err != nil {
+				t.Fatalf("point %d: %v", i, p.Err)
+			}
+		}
+	}
+	group() // fill the pools
+	group()
+	const groups = 4
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < groups; i++ {
+		group()
+	}
+	runtime.ReadMemStats(&after)
+	perGroup := (after.TotalAlloc - before.TotalAlloc) / groups
+	t.Logf("%d bytes allocated per group", perGroup)
+	if perGroup >= 1<<20 {
+		t.Fatalf("a steady-state digest group allocated %d bytes, want < 1 MiB", perGroup)
+	}
 }

@@ -69,9 +69,9 @@ serve-check:
 
 # Replay-cache and fan-out determinism gate: cached runs must be
 # byte-identical to generated runs and to the committed goldens, and
-# fan-out groups (shared-decode lockstep execution) must be
-# byte-identical to the sequential per-run path at both the simulator
-# and campaign level.
+# fan-out groups (shared-front digest points alongside per-run points)
+# must be byte-identical to the sequential per-run path at both the
+# simulator and campaign level.
 replay-check:
 	$(GO) test -count=1 -run 'TestReplayEquivalence|TestReplayMatchesGoldens|TestFanout' \
 		./internal/sim ./internal/runner

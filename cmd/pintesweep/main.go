@@ -87,7 +87,7 @@ func main() {
 		progress  = flag.Bool("progress", false, "log periodic campaign heartbeats (completed/failed/rate/ETA) to stderr")
 		progEvery = flag.Duration("progress-every", 2*time.Second, "heartbeat period when -progress is set")
 		replayMiB = flag.Int64("replay-cache", 0, "record/replay stream cache budget in MiB: each workload stream is generated once and replayed across all its sweep points (0 = off, regenerate per run)")
-		fanout    = flag.Bool("fanout", true, "run sweep points sharing a (workload, seed) stream in lockstep over one trace decode (results are byte-identical; failed points fall back to per-run execution)")
+		fanout    = flag.Bool("fanout", true, "run sweep points sharing a (workload, seed) stream as one group: points that differ only below the L2 share one trace decode and front-end pass (results are byte-identical; failed points fall back to per-run execution)")
 		sample    = flag.Bool("sample", false, "phase-aware representative sampling: profile each workload once, cluster its execution phases, and simulate only one representative window per phase (approximate — extrapolated metrics carry error bounds; overrides -fanout)")
 		resStore  = flag.String("result-store", "", "durable cross-campaign result store: dir[,MiB budget]; configs already simulated by ANY past run of ANY binary sharing the directory are served from it instead of re-simulated (empty = off)")
 	)

@@ -17,7 +17,7 @@ var ErrDetached = errors.New("replay: fan reader detached")
 // Fan is the shared-batch mode of a stream: one underlying Source is
 // decoded exactly once per batch, and every attached FanReader observes
 // the identical decoded records through a read-only view. Readers
-// advance in lockstep — a batch is decoded only when every attached
+// advance together — a batch is decoded only when every attached
 // reader has consumed the previous one — so the Fan doubles as the
 // per-batch barrier of a fan-out sweep group.
 //

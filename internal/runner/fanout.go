@@ -14,22 +14,23 @@ import (
 // Fan-out phase: before the per-run execution starts, the orchestrator
 // groups pending configs that share a primary record stream
 // (sim.FanGroupKey) and runs each group through sim.RunFanGroup — one
-// trace decode feeding every point. Points that fail inside a group
+// trace decode and front-end pass feeding its digest-eligible points,
+// the rest running per-run inside it. Points that fail inside a group
 // (chaos panic, stall, abort) fall back to the per-run path carrying
 // one prior attempt, so they re-enter the normal retry/backoff ladder
 // at the next rung instead of retrying immediately; the fan-out phase
 // itself never consumes per-run retry budget.
 //
 // With no shared pool, groups run one at a time: the fan barrier keeps
-// a group's points within one decoded batch of each other, so a group's
-// concurrency costs one simulator's private state per extra point
-// rather than a full worker, and running groups serially keeps the
-// campaign's peak footprint at one decode buffer regardless of
-// Options.Workers. On a shared pool (the campaign service), each group
-// is one weighted-queue task — one worker slot per group — so
-// concurrent campaigns' groups interleave under fair scheduling and a
-// draining pool sheds not-yet-started groups back to the journal-pending
-// state while in-flight groups finish and checkpoint.
+// a group's digest points within one decoded batch of each other, so
+// each extra digest point costs one simulator's below-L2 state rather
+// than a full worker, and running groups serially keeps the campaign's
+// peak footprint at one group regardless of Options.Workers. On a
+// shared pool (the campaign service), each group is one weighted-queue
+// task — one worker slot per group — so concurrent campaigns' groups
+// interleave under fair scheduling and a draining pool sheds
+// not-yet-started groups back to the journal-pending state while
+// in-flight groups finish and checkpoint.
 //
 // A group is only fanned when every member is actually pending. A
 // resumed campaign whose journal already covers part of a group leaves
@@ -220,14 +221,13 @@ func (o *Orchestrator) runFanGroup(ctx context.Context, gi int, g []int, cfgs []
 	gctx := ctx
 	cancel := func() {}
 	if o.opts.Timeout > 0 {
-		// The group shares one budget: a point's deadline is not
-		// meaningful in lockstep, so the group gets the sum.
+		// The group shares one budget: its digest followers advance
+		// together behind one front, so a point's own deadline is not
+		// meaningful and the group gets the sum.
 		gctx, cancel = context.WithTimeout(ctx, o.opts.Timeout*time.Duration(len(run)))
 	}
+	// sim.RunFanGroup counts the points that share a decode.
 	telemetry.Fanout.GroupsFormed.Add(1)
-	telemetry.Fanout.PointsFanned.Add(int64(len(run)))
-	telemetry.Fanout.DecodePasses.Add(1)
-	telemetry.Fanout.DecodePassesSaved.Add(int64(len(run) - 1))
 	pts := sim.RunFanGroup(gctx, gcfgs, o.opts.StallGrace)
 	cancel()
 

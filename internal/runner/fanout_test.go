@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/replay"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
@@ -60,6 +61,57 @@ func TestFanoutRunAllEquivalence(t *testing.T) {
 	}
 	if fan.Ran != len(cfgs) {
 		t.Errorf("Ran = %d, want %d", fan.Ran, len(cfgs))
+	}
+}
+
+// TestFanoutRunAllMixedGroups is the campaign-level gate for groups the
+// digest executor can only partly take: each preset's isolation and
+// PInTE points share a front while its 2nd-Trace point runs per-run
+// inside the same group, and a prefetching pair with no eligible member
+// runs both points per-run. Results must match the per-run campaign,
+// and only the eligible points may count as sharing a decode.
+func TestFanoutRunAllMixedGroups(t *testing.T) {
+	var cfgs []sim.Config
+	for _, wl := range []string{"453.povray", "450.soplex"} {
+		iso := tinyCfg(wl, 0)
+		iso.Mode = sim.Isolation
+		adv := tinyCfg(wl, 0)
+		adv.Mode, adv.Adversary = sim.SecondTrace, "470.lbm"
+		cfgs = append(cfgs, iso, tinyCfg(wl, 0.05), tinyCfg(wl, 0.3), adv)
+	}
+	for _, p := range []float64{0, 0.3} {
+		c := tinyCfg("433.milc", p)
+		if p == 0 {
+			c.Mode = sim.Isolation
+		}
+		c.Hier.Prefetch = "0IN"
+		cfgs = append(cfgs, c)
+	}
+	seq, err := New(Options{Workers: 2}).RunAll(context.Background(), cfgs)
+	if err != nil || len(seq.Failures) != 0 {
+		t.Fatalf("per-run campaign: err=%v failures=%v", err, seq.Failures)
+	}
+	var fan *Outcome
+	d := fanoutDelta(func() {
+		fan, err = New(Options{Workers: 2, Fanout: true, Streams: replay.NewCache(64 << 20)}).
+			RunAll(context.Background(), cfgs)
+	})
+	if err != nil || len(fan.Failures) != 0 {
+		t.Fatalf("fan-out campaign: err=%v failures=%v", err, fan.Failures)
+	}
+	for i := range cfgs {
+		if fingerprint(fan.Results[i]) != fingerprint(seq.Results[i]) {
+			t.Errorf("config %d (%s %s): fan-out result differs from per-run", i, cfgs[i].Workload, cfgs[i].Mode)
+		}
+	}
+	want := map[string]int64{
+		"groups_formed": 3, "fallback_points": 0,
+		"decode_passes": 2, "points_fanned": 6, "decode_passes_saved": 4,
+	}
+	for k, v := range want {
+		if d[k] != v {
+			t.Errorf("%s moved by %d, want %d", k, d[k], v)
+		}
 	}
 }
 
@@ -125,59 +177,78 @@ func TestFanoutResumePartialGroupBypass(t *testing.T) {
 }
 
 // TestChaosFanoutWorkerPanic arms the worker panic site against a live
-// fan-out group: exactly one point dies inside the group while its
-// siblings complete, the dead point falls back to the per-run pool, and
-// — with the fault armed for that attempt too — surfaces as a typed
+// fan-out group — all digest followers, and a mix of followers and a
+// per-run 2nd-Trace point: exactly one point dies inside the group while
+// its siblings complete, the dead point falls back to the per-run pool,
+// and — with the fault armed for that attempt too — surfaces as a typed
 // ErrPanic RunError rather than poisoning the group.
 func TestChaosFanoutWorkerPanic(t *testing.T) {
-	cfgs := []sim.Config{
-		tinyCfg("453.povray", 0.05),
-		tinyCfg("453.povray", 0.3),
-		tinyCfg("453.povray", 0.7),
+	adv := tinyCfg("453.povray", 0)
+	adv.Mode, adv.Adversary = sim.SecondTrace, "470.lbm"
+	cases := []struct {
+		name string
+		cfgs []sim.Config
+	}{
+		{"digest", []sim.Config{
+			tinyCfg("453.povray", 0.05),
+			tinyCfg("453.povray", 0.3),
+			tinyCfg("453.povray", 0.7),
+		}},
+		{"mixed", []sim.Config{
+			tinyCfg("453.povray", 0.05),
+			tinyCfg("453.povray", 0.3),
+			adv,
+		}},
 	}
-	ref, err := New(Options{Workers: 1}).RunAll(context.Background(), cfgs)
-	if err != nil || len(ref.Failures) != 0 {
-		t.Fatalf("reference campaign: err=%v failures=%v", err, ref.Failures)
-	}
-
-	// The three followers are hits 1-3 of the panic site and the lone
-	// fallback's sequential attempt is hit 4, so after=2 kills exactly
-	// one point inside the group (hit 3) and then its per-run retry
-	// (hit 4) — the typed failure must survive both layers.
-	if err := fault.Apply("seed=1;worker.panic:every=1,after=2,limit=2"); err != nil {
-		t.Fatal(err)
-	}
-	defer fault.Disable()
-	var out *Outcome
-	d := fanoutDelta(func() {
-		out, err = New(Options{Workers: 1, Fanout: true}).RunAll(context.Background(), cfgs)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Failures) != 1 {
-		t.Fatalf("failures = %v, want exactly one (the panicking point)", out.Failures)
-	}
-	f := out.Failures[0]
-	if !errors.Is(f.Err, sim.ErrPanic) {
-		t.Fatalf("failure is untyped: %v", f.Err)
-	}
-	for i := range cfgs {
-		if i == f.Index {
-			if out.Results[i] != nil {
-				t.Errorf("panicked point %d also has a result", i)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfgs := tc.cfgs
+			ref, err := New(Options{Workers: 1}).RunAll(context.Background(), cfgs)
+			if err != nil || len(ref.Failures) != 0 {
+				t.Fatalf("reference campaign: err=%v failures=%v", err, ref.Failures)
 			}
-			continue
-		}
-		if out.Results[i] == nil || fingerprint(out.Results[i]) != fingerprint(ref.Results[i]) {
-			t.Errorf("sibling %d lost or diverged after an in-group panic", i)
-		}
-	}
-	if d["fallback_points"] != 1 {
-		t.Errorf("fallback_points moved by %d, want 1", d["fallback_points"])
-	}
-	if d["group_aborts"] != 0 {
-		t.Errorf("group_aborts moved by %d, want 0 (siblings completed)", d["group_aborts"])
+
+			// The three in-group points are hits 1-3 of the panic site and
+			// the lone fallback's sequential attempt is hit 4, so after=2
+			// kills exactly one point inside the group (hit 3) and then its
+			// per-run retry (hit 4) — the typed failure must survive both
+			// layers.
+			if err := fault.Apply("seed=1;worker.panic:every=1,after=2,limit=2"); err != nil {
+				t.Fatal(err)
+			}
+			defer fault.Disable()
+			var out *Outcome
+			d := fanoutDelta(func() {
+				out, err = New(Options{Workers: 1, Fanout: true}).RunAll(context.Background(), cfgs)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(out.Failures) != 1 {
+				t.Fatalf("failures = %v, want exactly one (the panicking point)", out.Failures)
+			}
+			f := out.Failures[0]
+			if !errors.Is(f.Err, sim.ErrPanic) {
+				t.Fatalf("failure is untyped: %v", f.Err)
+			}
+			for i := range cfgs {
+				if i == f.Index {
+					if out.Results[i] != nil {
+						t.Errorf("panicked point %d also has a result", i)
+					}
+					continue
+				}
+				if out.Results[i] == nil || fingerprint(out.Results[i]) != fingerprint(ref.Results[i]) {
+					t.Errorf("sibling %d lost or diverged after an in-group panic", i)
+				}
+			}
+			if d["fallback_points"] != 1 {
+				t.Errorf("fallback_points moved by %d, want 1", d["fallback_points"])
+			}
+			if d["group_aborts"] != 0 {
+				t.Errorf("group_aborts moved by %d, want 0 (siblings completed)", d["group_aborts"])
+			}
+		})
 	}
 }
 

@@ -85,13 +85,15 @@ type Options struct {
 	// and replayed read-only by the rest. Results are byte-identical
 	// with or without it (the provider is excluded from config hashing).
 	Streams trace.SourceProvider
-	// Fanout enables one-decode sweep fan-out: pending configs that
-	// share a primary record stream (sim.FanGroupKey) are grouped and
-	// each group runs against a single trace decode (sim.RunFanGroup)
-	// before the per-run worker pool starts. Results are byte-identical
-	// to the sequential path; points that fail inside a group fall back
-	// to it, where the normal retry policy applies. Partial groups from
-	// a resumed journal and singleton groups always run per-run.
+	// Fanout enables sweep fan-out: pending configs that share a
+	// primary record stream (sim.FanGroupKey) are grouped and each group
+	// runs through sim.RunFanGroup before the per-run worker pool
+	// starts; the group's digest-eligible points share one trace decode
+	// and front-end pass, and the rest run per-run inside the group.
+	// Results are byte-identical to the sequential path; points that
+	// fail inside a group fall back to it, where the normal retry policy
+	// applies. Partial groups from a resumed journal and singleton
+	// groups always run per-run.
 	Fanout bool
 	// FanMaxGroup caps a fan-out group's size; oversized groups are
 	// split into chunks of at most this many points. The campaign
@@ -110,8 +112,8 @@ type Options struct {
 	// extrapolated metrics with error bounds in Result.Sampled. Configs
 	// that are not sample-eligible, members of a failed profile, and
 	// sampled attempts that fail at run time all fall back to the
-	// full-ROI path. Mutually exclusive with Fanout (fan groups run the
-	// full simulator in lockstep); sampling wins when both are set.
+	// full-ROI path. Mutually exclusive with Fanout (fan groups simulate
+	// the full ROI); sampling wins when both are set.
 	// Sampled results are approximations: do not mix Sample on and off
 	// across resumes of the same journal.
 	Sample bool

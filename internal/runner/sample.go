@@ -20,9 +20,9 @@ import (
 // on the full-ROI path; sampling never turns a runnable campaign into a
 // failed one.
 //
-// Sampling is mutually exclusive with fan-out: a fan group runs the
-// full-ROI simulator in lockstep and would ignore the plans. RunAll
-// prefers sampling when both are requested.
+// Sampling is mutually exclusive with fan-out: a fan group simulates
+// every point's full ROI and would ignore the plans. RunAll prefers
+// sampling when both are requested.
 
 // profileEvery picks the profiling telemetry interval for a ROI: about
 // 64 intervals, floored so degenerate tiny ROIs still profile.

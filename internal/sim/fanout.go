@@ -1,30 +1,29 @@
 package sim
 
-// Fan-out sweep execution: run every point of a sweep group that shares
-// a (workload, seed) primary stream against ONE decode of that stream.
+// Fan-out sweep execution: run the points of a sweep group that shares
+// a (workload, seed) primary stream together, so the points that can
+// share a front end pay for one decode and one front-end pass.
 //
-// Two executors implement it, picked per group:
+// RunFanGroup splits each group by fanDigestEligible:
 //
-//   - The digest executor covers the common sweep shape — single-core
-//     Isolation/PInTE points on a non-inclusive, prefetcher-free
-//     hierarchy. Under that shape the whole front end (trace decode,
-//     branch prediction, L1I/L1D/L2) evolves identically across points:
-//     nothing below the L2 feeds back into it, so one capture-mode pass
-//     (cache.FrontCapture) runs it once and records the sparse stream of
-//     below-L2 work. Followers replay just that stream against their own
-//     private LLC + memory + engine through the production descend and
-//     writeback code, pricing instructions with the same arithmetic as
-//     cpu.Core. This shares ~85% of a run's work, not just the decode.
+//   - Eligible points — single-core Isolation/PInTE points on a
+//     non-inclusive, prefetcher-free hierarchy, the common sweep shape —
+//     ride the digest executor. Under that shape the whole front end
+//     (trace decode, branch prediction, L1I/L1D/L2) evolves identically
+//     across points: nothing below the L2 feeds back into it, so one
+//     capture-mode pass (cache.FrontCapture) runs it once and records the
+//     sparse stream of below-L2 work. Followers replay just that stream
+//     against their own private LLC + memory + engine through the
+//     production descend and writeback code, pricing instructions with
+//     the same arithmetic as cpu.Core. This shares ~85% of a run's work,
+//     not just the decode. The front decodes each batch exactly once;
+//     replay.Fan's barrier keeps every follower within one batch of it
+//     so views stay valid.
 //
-//   - The lockstep executor covers everything else the group key admits
-//     (SecondTrace points, inclusive hierarchies, prefetchers, telemetry
-//     collection, partitioning): each point is a full RunContext whose
-//     primary stream is one read-only view of a shared decode
-//     (replay.Fan). Only the decode is shared, but that is still one
-//     pass instead of N.
-//
-// Both decode each batch exactly once; replay.Fan's barrier keeps every
-// consumer within one batch of the decode head so views stay valid.
+//   - Every other point (SecondTrace points, inclusive hierarchies,
+//     prefetchers, telemetry collection, partitioning) runs as its own
+//     per-run simulation inside the group, under the group's context,
+//     chaos sites and stall watchdog.
 
 import (
 	"context"
@@ -44,6 +43,7 @@ import (
 	"repro/internal/dram"
 	"repro/internal/fault"
 	"repro/internal/replay"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -55,10 +55,7 @@ const fanQuantum = uint64(cpu.DefaultQuantum)
 // fanDigestBatch is the digest executor's shared batch in records. The
 // decode buffer and the double-buffered digests scale with the batch,
 // so a small one keeps a group's buffers to a few hundred KiB; each
-// 64Ki-record replay chunk is still decoded once, in slices. The
-// lockstep executor keeps full-chunk batches: its points are whole
-// machines, and switching between them every 4Ki records costs them
-// their host-cache locality (25–35% slower in a measured prototype).
+// 64Ki-record replay chunk is still decoded once, in slices.
 const fanDigestBatch = 4096
 
 // errFanAborted reports a follower whose shared front ended before it.
@@ -127,8 +124,9 @@ func fanDigestEligible(cfg Config) bool {
 
 // RunFanGroup executes a fan-out group: every config must carry the
 // same FanGroupKey (the scheduler in internal/runner groups by it).
-// The group's primary stream is decoded once and shared. Points fail
-// independently — a panicking or faulted point surfaces in its own
+// When at least two points are digest-eligible they share one decode
+// and one front-end pass; the rest run per-run alongside them. Points
+// fail independently — a panicking or faulted point surfaces in its own
 // FanPoint while siblings complete. When ctx ends the group aborts;
 // points still wedged grace later (a chaos hang) are abandoned with
 // ErrStalled, mirroring the sequential stall watchdog. grace <= 0 waits
@@ -140,7 +138,7 @@ func RunFanGroup(ctx context.Context, cfgs []Config, grace time.Duration) []FanP
 	}
 	norm := make([]Config, len(cfgs))
 	var key0 string
-	digest := true
+	var digest, solo []int
 	for i, c := range cfgs {
 		n := c.withDefaults()
 		if err := n.validateDefaulted(); err != nil {
@@ -155,25 +153,40 @@ func RunFanGroup(ctx context.Context, cfgs []Config, grace time.Duration) []FanP
 		} else if k != key0 {
 			return failAll(pts, fmt.Errorf("%w: fan group mixes stream-incompatible configs", ErrBadConfig))
 		}
-		if !fanDigestEligible(n) {
-			digest = false
+		if fanDigestEligible(n) {
+			digest = append(digest, i)
+		} else {
+			solo = append(solo, i)
 		}
 		norm[i] = n
 	}
-	start := time.Now()
-	spec, err := specFor(norm[0].Workload, norm[0].WorkloadSpec)
-	if err != nil {
-		return failAll(pts, err)
+	if len(digest) < 2 {
+		// A lone eligible point has no one to share a front end with.
+		solo, digest = append(solo, digest...), nil
 	}
-	streams := norm[0].Streams
-	if streams == nil {
-		streams = trace.Generate{}
+
+	ch := make(chan fanDone, len(cfgs))
+	abort := func(error) {} // per-run points watch ctx themselves
+	if len(digest) > 0 {
+		fan, err := startFanDigest(norm, digest, ch)
+		if err != nil {
+			for _, i := range digest {
+				ch <- fanDone{i: i, err: err}
+			}
+		} else {
+			abort = fan.Abort
+			telemetry.Fanout.PointsFanned.Add(int64(len(digest)))
+			telemetry.Fanout.DecodePasses.Add(1)
+			telemetry.Fanout.DecodePassesSaved.Add(int64(len(digest) - 1))
+		}
 	}
-	if digest {
-		runFanDigest(ctx, norm, spec, streams, grace, start, pts)
-	} else {
-		runFanLockstep(ctx, norm, spec, streams, grace, pts)
+	for _, i := range solo {
+		go func(i int) {
+			res, err := runFanSolo(ctx, cfgs[i])
+			ch <- fanDone{i: i, res: res, err: err}
+		}(i)
 	}
+	collectFan(ctx, abort, ch, grace, pts)
 	return pts
 }
 
@@ -191,10 +204,10 @@ type fanDone struct {
 	err error
 }
 
-// collectFan gathers point outcomes. When ctx ends it aborts the fan so
-// barrier-parked points unwind with the context's taxonomy error, then
-// abandons any point still silent after grace.
-func collectFan(ctx context.Context, fan *replay.Fan, ch <-chan fanDone, grace time.Duration, pts []FanPoint) {
+// collectFan gathers point outcomes. When ctx ends it calls abort so
+// barrier-parked followers unwind with the context's taxonomy error,
+// then abandons any point still silent after grace.
+func collectFan(ctx context.Context, abort func(error), ch <-chan fanDone, grace time.Duration, pts []FanPoint) {
 	finished := make([]bool, len(pts))
 	got := 0
 	recv := func(d fanDone) {
@@ -214,7 +227,7 @@ func collectFan(ctx context.Context, fan *replay.Fan, ch <-chan fanDone, grace t
 	if got == len(pts) {
 		return
 	}
-	fan.Abort(ctxError(ctx))
+	abort(ctxError(ctx))
 	var deadline <-chan time.Time
 	if grace > 0 {
 		t := time.NewTimer(grace)
@@ -228,7 +241,7 @@ func collectFan(ctx context.Context, fan *replay.Fan, ch <-chan fanDone, grace t
 		case <-deadline:
 			// Chaos hang: the point's goroutine never reports. Abandon it
 			// exactly as the sequential stall watchdog abandons a wedged
-			// run; the leaked goroutine's reader view stays valid (the fan
+			// run; a leaked follower's reader view stays valid (the fan
 			// switches decode buffers once its reader is detached).
 			for i := range pts {
 				if !finished[i] {
@@ -259,62 +272,16 @@ func fanWorkerChaos() {
 	}
 }
 
-// ---------------------------------------------------------------------
-// Lockstep executor
-// ---------------------------------------------------------------------
-
-// fanProvider routes a RunContext's primary-stream request to the
-// point's shared fan view and delegates everything else (nothing in
-// practice: adversary cores always build fresh generators).
-type fanProvider struct {
-	reader *replay.FanReader
-	under  trace.SourceProvider
-	fp     string
-	seed   uint64
-}
-
-func (p *fanProvider) Source(spec trace.Spec, seed, base uint64) (trace.Source, error) {
-	if base == 0 && seed == p.seed && spec.Fingerprint() == p.fp {
-		return p.reader, nil
-	}
-	return p.under.Source(spec, seed, base)
-}
-
-// runFanLockstep runs each point as a full simulation over a shared
-// decode. Per-point chaos sites (sim.source, trace.read) fire inside
-// each point's own RunContext, exactly as they do sequentially.
-func runFanLockstep(ctx context.Context, norm []Config, spec trace.Spec, streams trace.SourceProvider, grace time.Duration, pts []FanPoint) {
-	seed := norm[0].Seed + 1
-	src, err := streams.Source(spec, seed, 0)
-	if err != nil {
-		failAll(pts, err)
-		return
-	}
-	fresh := func() (trace.Source, error) { return streams.Source(spec, seed, 0) }
-	fan := replay.NewFan(src, len(norm), 0, fresh)
-	fp := spec.Fingerprint()
-	gctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	ch := make(chan fanDone, len(norm))
-	for i := range norm {
-		rd := fan.Reader(i)
-		cfg := norm[i]
-		cfg.Streams = &fanProvider{reader: rd, under: streams, fp: fp, seed: seed}
-		go func(i int, cfg Config) {
-			defer rd.Detach()
-			res, err := func() (res *Result, err error) {
-				defer func() {
-					if r := recover(); r != nil {
-						res, err = nil, &PanicError{Value: r, Stack: debug.Stack()}
-					}
-				}()
-				fanWorkerChaos()
-				return RunSafe(gctx, cfg)
-			}()
-			ch <- fanDone{i: i, res: res, err: err}
-		}(i, cfg)
-	}
-	collectFan(ctx, fan, ch, grace, pts)
+// runFanSolo runs one point the digest executor cannot take as a plain
+// per-run simulation, behind the same chaos sites as a follower.
+func runFanSolo(ctx context.Context, cfg Config) (res *Result, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			res, err = nil, &PanicError{Value: r, Stack: debug.Stack()}
+		}
+	}()
+	fanWorkerChaos()
+	return RunContext(ctx, cfg)
 }
 
 // ---------------------------------------------------------------------
@@ -480,29 +447,41 @@ func (noMem) Access(now, addr uint64, isWrite bool) uint64 {
 	panic("sim: capture-mode hierarchy touched memory")
 }
 
-// runFanDigest runs the digest executor: one front capture pass feeding
-// len(norm) followers.
-func runFanDigest(ctx context.Context, norm []Config, spec trace.Spec, streams trace.SourceProvider, grace time.Duration, start time.Time, pts []FanPoint) {
-	n := len(norm)
-	seed := norm[0].Seed + 1
-	src, err := streams.Source(spec, seed, 0)
+// startFanDigest starts the digest executor over the members idx of
+// norm: one front capture pass feeding a follower per member, each
+// reporting its outcome on out. It returns the fan so the collector can
+// abort it.
+func startFanDigest(norm []Config, idx []int, out chan<- fanDone) (*replay.Fan, error) {
+	start := time.Now()
+	cfg0 := norm[idx[0]]
+	spec, err := specFor(cfg0.Workload, cfg0.WorkloadSpec)
+	if err != nil {
+		return nil, err
+	}
+	streams := cfg0.Streams
+	if streams == nil {
+		streams = trace.Generate{}
+	}
+	src, err := streams.Source(spec, cfg0.Seed+1, 0)
 	if err == nil {
 		err = fault.Err(fault.SiteSimSource)
 	}
 	if err != nil {
-		failAll(pts, err)
-		return
+		return nil, err
 	}
 	if fault.Enabled() {
-		// The front drives the group's only decode, so the per-run
-		// trace.read site interposes on the shared stream: a fired fault
-		// fails the whole group, which then retries sequentially.
+		// The front drives the digest members' only decode, so the
+		// per-run trace.read site interposes on the shared stream: a
+		// fired fault fails every digest member, which then retry
+		// sequentially.
 		src = &faultSource{src: src}
 	}
-	fresh := func() (trace.Source, error) { return streams.Source(spec, seed, 0) }
-	fan := replay.NewFan(src, n+1, fanDigestBatch, fresh)
+	n := len(idx)
+	// No rewind factory: frontFeed hides trace.Rewinder, and followers
+	// only call NextSlice.
+	fan := replay.NewFan(src, n+1, fanDigestBatch, nil)
 
-	cpuCfg := norm[0].CPU
+	cpuCfg := cfg0.CPU
 	if cpuCfg.MLP == 0 {
 		cpuCfg.MLP = spec.MLP
 	}
@@ -532,17 +511,16 @@ func runFanDigest(ctx context.Context, norm []Config, spec trace.Spec, streams t
 				close(ch)
 			}
 		}()
-		ferr = fr.run(norm[0], cpuCfg)
+		ferr = fr.run(cfg0, cpuCfg)
 	}()
 
-	ch := make(chan fanDone, n)
-	for i := range norm {
-		go func(i int) {
-			res, err := runFanFollower(norm[i], cpuCfg, fr, fan.Reader(i+1), fr.chans[i], &fr.alive[i], start)
-			ch <- fanDone{i: i, res: res, err: err}
-		}(i)
+	for j, i := range idx {
+		go func(j, i int) {
+			res, err := runFanFollower(norm[i], cpuCfg, fr, fan.Reader(j+1), fr.chans[j], &fr.alive[j], start)
+			out <- fanDone{i: i, res: res, err: err}
+		}(j, i)
 	}
-	collectFan(ctx, fan, ch, grace, pts)
+	return fan, nil
 }
 
 // fanFollower is one point's private state in the digest executor: the

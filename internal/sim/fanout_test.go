@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/replay"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -82,17 +83,77 @@ func TestFanoutDigestNoWarmup(t *testing.T) {
 	checkFanEquivalence(t, []Config{mk(0), mk(0.3)})
 }
 
-// TestFanoutLockstepEquivalence forces the lockstep executor with
-// points the digest gate rejects (SecondTrace, telemetry collection)
-// and checks they still match their sequential runs over a shared
+// TestFanoutMixedGroupEquivalence covers groups the digest executor can
+// only partly take: (a) isolation and two PInTE points share a front
+// while a SecondTrace point and a telemetry-collecting point run per-run
+// beside them; (b) a prefetching group with no eligible member runs
+// every point per-run. Every point must match its per-run twin byte for
+// byte over a live generator and over a replay cache (recording, then
+// replaying), and only the eligible points may count as sharing a
 // decode.
-func TestFanoutLockstepEquivalence(t *testing.T) {
-	cfgs := []Config{
-		tiny(Config{Workload: "433.milc"}),
-		tiny(Config{Workload: "433.milc", Mode: SecondTrace, Adversary: "470.lbm"}),
-		tiny(Config{Workload: "433.milc", Mode: PInTE, PInduce: 0.3, TelemetryEvery: 20_000}),
+func TestFanoutMixedGroupEquivalence(t *testing.T) {
+	milc0IN := func(cfg Config) Config {
+		cfg = tiny(cfg)
+		cfg.Hier.Prefetch = "0IN"
+		return cfg
 	}
-	checkFanEquivalence(t, cfgs)
+	cases := []struct {
+		name   string
+		cfgs   []Config
+		fanned int64
+	}{
+		{name: "digest-and-per-run", fanned: 3, cfgs: []Config{
+			tiny(Config{Workload: "433.milc"}),
+			tiny(Config{Workload: "433.milc", Mode: PInTE, PInduce: 0.05}),
+			tiny(Config{Workload: "433.milc", Mode: SecondTrace, Adversary: "470.lbm"}),
+			tiny(Config{Workload: "433.milc", Mode: PInTE, PInduce: 0.5}),
+			tiny(Config{Workload: "433.milc", Mode: PInTE, PInduce: 0.3, TelemetryEvery: 20_000}),
+		}},
+		{name: "no-eligible-member", fanned: 0, cfgs: []Config{
+			milc0IN(Config{Workload: "433.milc"}),
+			milc0IN(Config{Workload: "433.milc", Mode: PInTE, PInduce: 0.3}),
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			want := make([]string, len(tc.cfgs))
+			for i, cfg := range tc.cfgs {
+				want[i] = resultJSON(t, run(t, cfg))
+			}
+			cache := replay.NewCache(64 << 20)
+			for _, src := range []struct {
+				name    string
+				streams trace.SourceProvider
+			}{
+				{"generated", trace.Generate{}},
+				{"recording", cache},
+				{"replayed", cache},
+			} {
+				cfgs := append([]Config(nil), tc.cfgs...)
+				for i := range cfgs {
+					cfgs[i].Streams = src.streams
+				}
+				before := telemetry.FanoutSnapshot()
+				pts := RunFanGroup(context.Background(), cfgs, 0)
+				after := telemetry.FanoutSnapshot()
+				for i, p := range pts {
+					if p.Err != nil {
+						t.Fatalf("%s point %d: %v", src.name, i, p.Err)
+					}
+					if got := resultJSON(t, p.Res); got != want[i] {
+						t.Errorf("%s point %d differs from its per-run twin\nfan: %s\nrun: %s",
+							src.name, i, got, want[i])
+					}
+				}
+				if got := after["points_fanned"] - before["points_fanned"]; got != tc.fanned {
+					t.Errorf("%s: %d points shared a decode, want %d", src.name, got, tc.fanned)
+				}
+			}
+			if st := cache.Snapshot(); st.Hits == 0 {
+				t.Fatal("the replayed group never hit the cache")
+			}
+		})
+	}
 }
 
 // TestFanoutGroupKey checks the grouping invariant: per-point knobs

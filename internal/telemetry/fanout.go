@@ -9,17 +9,19 @@ import (
 // executor (internal/runner + internal/sim): how many sweep groups were
 // formed, how many points rode a shared decode, and how much decode
 // work the sharing saved. Served on the expvar page as "pinte.fanout"
-// so a campaign's operator can verify the one-decode invariant —
-// DecodePasses should equal GroupsFormed, with PointsFanned −
-// GroupsFormed passes saved.
+// so a campaign's operator can verify the one-decode invariant — at
+// most one decode pass per group (DecodePasses <= GroupsFormed), with
+// PointsFanned − DecodePasses passes saved. A group whose points cannot
+// share a front end runs them per-run and spends no shared pass.
 type FanoutCounters struct {
-	// GroupsFormed counts fan-out groups scheduled; PointsFanned counts
-	// the sweep points they covered.
+	// GroupsFormed counts fan-out groups scheduled (internal/runner);
+	// PointsFanned counts the sweep points that shared a decode inside
+	// them (internal/sim).
 	GroupsFormed atomic.Int64
 	PointsFanned atomic.Int64
-	// DecodePasses counts trace decode passes spent by fan-out groups
-	// (one per group); DecodePassesSaved counts the passes a sequential
-	// sweep would have spent on the same points minus those.
+	// DecodePasses counts shared trace decode passes (at most one per
+	// group); DecodePassesSaved counts the passes a sequential sweep
+	// would have spent on the fanned points minus those.
 	DecodePasses      atomic.Int64
 	DecodePassesSaved atomic.Int64
 	// FallbackPoints counts points that left the fan-out path for the

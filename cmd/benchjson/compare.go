@@ -31,9 +31,9 @@ func oneShot(r Result) bool { return r.Iterations <= 1 && r.NsPerOp < 1e6 }
 // on only one side are listed — NEW when the baseline predates them,
 // RETIRED when they've since been dropped — but never count as
 // regressions, so adding or retiring a benchmark doesn't fail the gate;
-// nor do comparisons where either side is a one-shot sub-millisecond
-// timing (run with BENCHTIME=2s BENCHCOUNT=6 to gate the
-// micro-benchmarks too).
+// nor do comparisons across protocols: a pair run at different GOMAXPROCS
+// (procs), or where either side is a one-shot sub-millisecond timing
+// (run with BENCHTIME=2s BENCHCOUNT=6 to gate the micro-benchmarks too).
 func compareBaseline(base, cur *Report, tol float64) (string, []string) {
 	old := make(map[string]Result, len(base.Benchmarks))
 	for _, r := range base.Benchmarks {
@@ -76,6 +76,8 @@ func compareBaseline(base, cur *Report, tol float64) (string, []string) {
 		speedup := o.NsPerOp / r.NsPerOp
 		mark := ""
 		switch {
+		case o.Procs != r.Procs:
+			mark = fmt.Sprintf("  (procs %d vs %d, not gated)", o.Procs, r.Procs)
 		case oneShot(o) || oneShot(r):
 			mark = "  (1-shot, not gated)"
 		case r.NsPerOp > o.NsPerOp*(1+tol):

@@ -91,3 +91,23 @@ func TestCompareBaselineTolerance(t *testing.T) {
 		t.Error("40% slowdown passed a 25% tolerance")
 	}
 }
+
+// TestCompareBaselineSkipsMismatchedProcs pins the protocol rule: a pair
+// measured at different GOMAXPROCS is reported with both procs but never
+// gated, however far apart the timings are.
+func TestCompareBaselineSkipsMismatchedProcs(t *testing.T) {
+	base := rep("BenchmarkLookup", 60.0, "BenchmarkSweep", 4e8)
+	cur := rep("BenchmarkLookup", 6000.0, "BenchmarkSweep", 9e8)
+	for i := range base.Benchmarks {
+		base.Benchmarks[i].Procs = 8
+		cur.Benchmarks[i].Procs = 1
+	}
+	cur.Benchmarks[1].Procs = 8 // same protocol: still gated
+	table, regressed := compareBaseline(base, cur, 0.5)
+	if len(regressed) != 1 || regressed[0] != "BenchmarkSweep" {
+		t.Fatalf("regressed = %v, want [BenchmarkSweep]:\n%s", regressed, table)
+	}
+	if !strings.Contains(table, "(procs 8 vs 1, not gated)") {
+		t.Errorf("mismatched procs not annotated:\n%s", table)
+	}
+}

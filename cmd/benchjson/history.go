@@ -44,7 +44,10 @@ type historyEntry struct {
 // speedup of the newest measurement against the benchmark's first
 // appearance — the long-run answer to "is this artifact getting cheaper
 // to rebuild?". Benchmarks absent from a report show "-"; a benchmark
-// must appear in at least one report to get a row.
+// must appear in at least one report to get a row. A cell measured at a
+// different GOMAXPROCS (procs) than the row's first appearance is a
+// different protocol: it is marked with crossProcs and, when it is the
+// newest, the row reports no speedup.
 func historyTable(entries []historyEntry) string {
 	sort.SliceStable(entries, func(a, b int) bool {
 		if entries[a].rep.Date != entries[b].rep.Date {
@@ -53,19 +56,20 @@ func historyTable(entries []historyEntry) string {
 		return entries[a].label < entries[b].label
 	})
 
-	// name -> column -> ns/op (0 = absent). Within one report the last
-	// entry for a name wins, matching compareBaseline's map semantics.
-	cells := map[string][]float64{}
+	// name -> column -> result (NsPerOp 0 = absent). Within one report
+	// the last entry for a name wins, matching compareBaseline's map
+	// semantics.
+	cells := map[string][]Result{}
 	var names []string
 	for ci, e := range entries {
 		for _, r := range e.rep.Benchmarks {
 			row, ok := cells[r.Name]
 			if !ok {
-				row = make([]float64, len(entries))
+				row = make([]Result, len(entries))
 				cells[r.Name] = row
 				names = append(names, r.Name)
 			}
-			row[ci] = r.NsPerOp
+			row[ci] = r
 		}
 	}
 	sort.Strings(names)
@@ -90,35 +94,47 @@ func historyTable(entries []historyEntry) string {
 		fmt.Fprintf(&b, "  %*s", colW, e.label)
 	}
 	fmt.Fprintf(&b, "  %*s\n", colW, "speedup")
+	marked := false
 	for _, n := range names {
 		row := cells[n]
 		fmt.Fprintf(&b, "%-*s", nameW, n)
-		first, last := 0.0, 0.0
-		for _, ns := range row {
-			if ns > 0 {
-				if first == 0 {
-					first = ns
+		var first, last Result
+		for _, r := range row {
+			if r.NsPerOp > 0 {
+				if first.NsPerOp == 0 {
+					first = r
 				}
-				last = ns
+				last = r
 			}
 		}
-		for _, ns := range row {
-			if ns == 0 {
+		for _, r := range row {
+			switch {
+			case r.NsPerOp == 0:
 				fmt.Fprintf(&b, "  %*s", colW, "-")
-			} else {
-				fmt.Fprintf(&b, "  %*s", colW, fmtNs(ns))
+			case r.Procs != first.Procs:
+				marked = true
+				fmt.Fprintf(&b, "  %*s", colW, fmtNs(r.NsPerOp)+crossProcs)
+			default:
+				fmt.Fprintf(&b, "  %*s", colW, fmtNs(r.NsPerOp))
 			}
 		}
-		// Speedup is first-vs-newest; a single appearance has no
-		// trajectory yet.
-		if first > 0 && last > 0 && first != last {
-			fmt.Fprintf(&b, "  %*s\n", colW, fmt.Sprintf("%.2fx", first/last))
+		// Speedup is first-vs-newest under one protocol; a single
+		// appearance has no trajectory yet.
+		if first.NsPerOp > 0 && last.NsPerOp > 0 && first.NsPerOp != last.NsPerOp && first.Procs == last.Procs {
+			fmt.Fprintf(&b, "  %*s\n", colW, fmt.Sprintf("%.2fx", first.NsPerOp/last.NsPerOp))
 		} else {
 			fmt.Fprintf(&b, "  %*s\n", colW, "-")
 		}
 	}
+	if marked {
+		fmt.Fprintf(&b, "%s procs differ from the row's first report: not ranked\n", crossProcs)
+	}
 	return b.String()
 }
+
+// crossProcs marks a history cell measured at a different GOMAXPROCS
+// than its row's first appearance.
+const crossProcs = "*"
 
 // runHistory loads the given report files (default: BENCH_*.json in the
 // current directory) and prints their trajectory table.

@@ -80,3 +80,41 @@ func TestHistoryTable(t *testing.T) {
 		t.Errorf("retired row should carry '-' for the missing column and speedup: %q", ret)
 	}
 }
+
+// TestHistoryTableMarksMismatchedProcs checks a cell measured at a
+// different GOMAXPROCS than its row's first report is marked, and that
+// the row reports no speedup across the two protocols.
+func TestHistoryTableMarksMismatchedProcs(t *testing.T) {
+	entries := []historyEntry{
+		{label: "2026-08-06", rep: &Report{Date: "2026-08-06", Benchmarks: []Result{
+			{Name: "BenchmarkLookup", Procs: 8, NsPerOp: 64},
+			{Name: "BenchmarkSweep", Procs: 1, NsPerOp: 1e9},
+		}}},
+		{label: "2026-08-08", rep: &Report{Date: "2026-08-08", Benchmarks: []Result{
+			{Name: "BenchmarkLookup", Procs: 1, NsPerOp: 1300},
+			{Name: "BenchmarkSweep", Procs: 1, NsPerOp: 5e8},
+		}}},
+	}
+	got := historyTable(entries)
+	var lookup, sweep string
+	for _, l := range strings.Split(got, "\n") {
+		switch {
+		case strings.HasPrefix(l, "BenchmarkLookup"):
+			lookup = l
+		case strings.HasPrefix(l, "BenchmarkSweep"):
+			sweep = l
+		}
+	}
+	if !strings.Contains(lookup, "1.3us"+crossProcs) || strings.Contains(lookup, "64ns"+crossProcs) {
+		t.Errorf("only the cross-procs cell should be marked: %q", lookup)
+	}
+	if !strings.HasSuffix(strings.TrimRight(lookup, " "), "-") || strings.Contains(lookup, "x") {
+		t.Errorf("cross-procs row must report no speedup: %q", lookup)
+	}
+	if !strings.Contains(sweep, "2.00x") || strings.Contains(sweep, crossProcs) {
+		t.Errorf("same-procs row should be ranked and unmarked: %q", sweep)
+	}
+	if !strings.Contains(got, crossProcs+" procs differ") {
+		t.Errorf("table lacks the cross-procs legend:\n%s", got)
+	}
+}

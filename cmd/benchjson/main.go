@@ -9,13 +9,17 @@
 //
 // With -baseline it also prints a per-benchmark speedup table against an
 // earlier report and exits nonzero when any shared benchmark regressed
-// more than -tolerance (fractional ns/op increase).
+// more than -tolerance (fractional ns/op increase). A pair measured
+// under different protocols (GOMAXPROCS, or a one-shot sub-millisecond
+// timing) is reported but never gated.
 //
 // With -history it reads no stdin at all: it aggregates the committed
 // BENCH_*.json reports (the positional arguments, or every BENCH_*.json
 // in the current directory) into a per-benchmark trajectory table —
 // one column per report date, one row per benchmark, and the newest
-// measurement's speedup against the benchmark's first appearance:
+// measurement's speedup against the benchmark's first appearance. A
+// cell measured at a different GOMAXPROCS than that first appearance is
+// marked "*" and never ranked:
 //
 //	benchjson -history
 //	benchjson -history BENCH_2026-08-06.json BENCH_2026-08-08_fanout.json

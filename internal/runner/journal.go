@@ -148,8 +148,15 @@ func LoadJournal(path string) (map[string]*sim.Result, LoadStats, error) {
 		return nil, st, err
 	}
 	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, st, err
+	}
+	// Size the scan buffer to the file (one byte over, so a whole small
+	// journal is read in one go and EOF needs no growth); a line longer
+	// than the initial buffer still grows it up to maxEntryBytes.
 	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 64<<10), maxEntryBytes)
+	sc.Buffer(make([]byte, min(64<<10, fi.Size()+1)), maxEntryBytes)
 	// lastBad tracks whether the most recent line failed to load; if the
 	// scan ends there, that failure is reclassified as a benign tail
 	// truncation instead of a corrupt entry (a truncated checksummed

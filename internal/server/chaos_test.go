@@ -101,10 +101,13 @@ func TestChaosServerStreamWriteFault(t *testing.T) {
 	}
 }
 
-// TestChaosServerDrainWithFaultyManifest drains a server whose manifest
-// writes fail: the drain still completes, the campaign's terminal state
-// write is lost, and — because the manifest still says active — a
-// restart resumes it from its complete journal and re-finalizes.
+// TestChaosServerDrainWithFaultyManifest fails a state transition made
+// by hand on a finished campaign: SetState reports the injected fault
+// and rolls the in-memory record back to the persisted done, and a
+// server restarted over the same store resumes nothing and still
+// replays the campaign's results. It drives neither a drain nor
+// finalize; TestChaosServerFinalStateLostResumes covers a terminal
+// state write lost inside finalize.
 func TestChaosServerDrainWithFaultyManifest(t *testing.T) {
 	dir := t.TempDir()
 	s, ts := newTestServer(t, Config{Workers: 2, DataDir: dir})

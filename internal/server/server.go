@@ -141,15 +141,13 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// Resume reloads the manifest: finished campaigns get their journals
-// auto-compacted, and every active campaign — checkpointed by a drain
-// or cut off by a crash — is relaunched against its journal, so a
-// restart resumes exactly the runs that never completed. Returns how
-// many campaigns were resumed.
+// Resume reloads the manifest and relaunches every active campaign —
+// checkpointed by a drain or cut off by a crash — against its journal,
+// so a restart resumes exactly the runs that never completed. Finished
+// campaigns are left alone: finalize compacted each one's journal
+// before persisting its terminal state, so there is nothing left to
+// tidy. Returns how many campaigns were resumed.
 func (s *Server) Resume() int {
-	if n := s.store.CompactFinished(s.logf); n > 0 {
-		s.logf("restart: compacted %d finished campaign journals", n)
-	}
 	resumed := 0
 	for _, m := range s.store.Campaigns() {
 		if m.State != StateActive {
@@ -317,12 +315,17 @@ func (s *Server) campaignLogf(id string) func(string, ...any) {
 	}
 }
 
-// finalize classifies a finished campaign run, persists its terminal
-// state (or leaves it active when a drain checkpointed it), retires it
-// from the live table, compacts the journal of a cleanly completed
-// campaign, and releases the stream. The state is persisted before the
-// campaign leaves the live table: a stream that connects in between is
-// served from the manifest, which must already hold the final state.
+// finalize classifies a finished campaign run, compacts the journal of
+// any terminal campaign, persists its terminal state (or leaves it
+// active, uncompacted, when a drain checkpointed it), retires it from
+// the live table, and releases the stream. Compaction comes first, so a
+// terminal state in the manifest implies a compacted journal (unless
+// compaction itself failed, which is logged): a crash between the two
+// leaves the campaign active, and the next start resumes it with
+// nothing left to run and finalizes it again. The state
+// is persisted before the campaign leaves the live table: a stream that
+// connects in between is served from the manifest, which must already
+// hold the final state.
 func (s *Server) finalize(c *campaign, cctx context.Context, out *runner.Outcome, err error) {
 	id := c.meta.ID
 	canceled, hard := 0, 0
@@ -362,6 +365,11 @@ func (s *Server) finalize(c *campaign, cctx context.Context, out *runner.Outcome
 		state = StateDone
 	}
 
+	if cerr := s.store.CompactCampaign(id); cerr != nil {
+		// Compaction is an optimisation: an uncompacted journal still
+		// loads, so the terminal state is persisted regardless.
+		s.logf("campaign %s: auto-compacting journal: %v", id, cerr)
+	}
 	if serr := s.store.SetState(id, state, msg); serr != nil {
 		// The state transition will be retried by the next restart's
 		// classification (an active manifest entry with a complete
@@ -372,9 +380,6 @@ func (s *Server) finalize(c *campaign, cctx context.Context, out *runner.Outcome
 	switch state {
 	case StateDone:
 		telemetry.Server.CampaignsDone.Add(1)
-		if _, cerr := s.store.CompactCampaign(id); cerr != nil {
-			s.logf("campaign %s: auto-compacting journal: %v", id, cerr)
-		}
 		s.logf("campaign %s: done (%d runs)", id, c.meta.Runs)
 	case StateFailed:
 		telemetry.Server.CampaignsFailed.Add(1)

@@ -60,7 +60,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 		ts.Close()
 		s.Close()
 		// A campaign whose final state a test already saw may still be
-		// compacting its journal; let it finish before the data dir goes.
+		// retiring; let its goroutine return before the data dir goes.
 		idle := make(chan struct{})
 		go func() {
 			s.wg.Wait()

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
@@ -25,8 +26,9 @@ const (
 	// running, or checkpointed by a drain/crash. A restarted server
 	// resumes every active campaign from its journal.
 	StateActive CampaignState = "active"
-	// StateDone marks a campaign whose every run completed; its journal
-	// is auto-compacted.
+	// StateDone marks a campaign whose every run completed. Like every
+	// terminal state below, finalize persists it only after compacting
+	// the campaign's journal (or logging why it could not).
 	StateDone CampaignState = "done"
 	// StateFailed marks a campaign that finished with hard failures.
 	StateFailed CampaignState = "failed"
@@ -72,6 +74,11 @@ type Store struct {
 	mu  sync.Mutex
 	dir string
 	m   manifest
+	// buf holds the encoded manifest; enc writes compact JSON into it.
+	// Both are reused across saves (under mu), so a save costs the
+	// write, not a fresh copy of the whole manifest.
+	buf bytes.Buffer
+	enc *json.Encoder
 }
 
 // OpenStore opens (creating if needed) the durable store rooted at dir.
@@ -80,6 +87,7 @@ func OpenStore(dir string) (*Store, error) {
 		return nil, err
 	}
 	st := &Store{dir: dir, m: manifest{Campaigns: make(map[string]*CampaignMeta)}}
+	st.enc = json.NewEncoder(&st.buf)
 	b, err := os.ReadFile(st.manifestPath())
 	if errors.Is(err, os.ErrNotExist) {
 		return st, nil
@@ -119,8 +127,8 @@ func (st *Store) saveLocked() error {
 		telemetry.Server.ManifestErrors.Add(1)
 		return err
 	}
-	b, err := json.MarshalIndent(&st.m, "", "  ")
-	if err != nil {
+	st.buf.Reset()
+	if err := st.enc.Encode(&st.m); err != nil {
 		return err
 	}
 	tmp := st.manifestPath() + ".tmp"
@@ -129,7 +137,7 @@ func (st *Store) saveLocked() error {
 		telemetry.Server.ManifestErrors.Add(1)
 		return err
 	}
-	if _, err := f.Write(append(b, '\n')); err != nil {
+	if _, err := f.Write(st.buf.Bytes()); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		telemetry.Server.ManifestErrors.Add(1)
@@ -280,40 +288,13 @@ func (st *Store) TenantJournalBytes(tenant string) int64 {
 // CompactCampaign compacts one campaign's journal in place (atomic
 // rewrite), counting the auto-compaction. A missing journal — a
 // campaign that never completed a run — is not an error.
-func (st *Store) CompactCampaign(id string) (bool, error) {
+func (st *Store) CompactCampaign(id string) error {
 	_, err := runner.CompactJournal(st.JournalPath(id))
 	if errors.Is(err, os.ErrNotExist) {
-		return false, nil
+		return nil
 	}
 	if err == nil {
 		telemetry.Server.AutoCompactions.Add(1)
 	}
-	return err == nil, err
-}
-
-// CompactFinished compacts every finished campaign's journal — the
-// restart half of auto-compaction: a server that crashed after a
-// campaign completed but before its compaction ran picks the work up
-// here. Returns how many journals were compacted; per-journal failures
-// are reported through logf and skipped (a journal that cannot be
-// compacted still loads fine — compaction is an optimisation, not a
-// correctness requirement).
-func (st *Store) CompactFinished(logf func(format string, args ...any)) int {
-	n := 0
-	for _, m := range st.Campaigns() {
-		if m.State == StateActive {
-			continue
-		}
-		ok, err := st.CompactCampaign(m.ID)
-		if err != nil {
-			if logf != nil {
-				logf("compacting journal of finished campaign %s: %v", m.ID, err)
-			}
-			continue
-		}
-		if ok {
-			n++
-		}
-	}
-	return n
+	return err
 }

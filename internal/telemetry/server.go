@@ -40,8 +40,10 @@ type ServerCounters struct {
 	// ResumedCampaigns counts campaigns reloaded from the durable store
 	// on restart and resumed from their journals.
 	ResumedCampaigns atomic.Int64
-	// AutoCompactions counts journals compacted automatically after a
-	// clean completion or on restart.
+	// AutoCompactions counts journals compacted automatically as their
+	// campaigns reach a terminal state (done, failed or canceled),
+	// before that state is persisted. A restart compacts no finished
+	// journal.
 	AutoCompactions atomic.Int64
 	// PoolShedTasks counts queued runs shed back to their campaigns
 	// (reported as ErrCanceled, journaled work untouched) by a drain.

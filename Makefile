@@ -52,9 +52,13 @@ race:
 # Chaos suite: the fault-injection matrix, the randomized crash-recovery
 # property test and the durability tests, race-enabled. Asserts every
 # injected fault yields a clean typed error or a correct degraded result
-# — never a corrupt store or a silently wrong answer.
+# — never a corrupt store or a silently wrong answer. Packages run one at
+# a time (-p 1): several chaos tests hold a run to a wall-clock deadline
+# sized for one race-instrumented simulation, and two CPU-bound
+# race-enabled test binaries sharing a small host would each get a
+# fraction of the CPU that deadline assumes.
 chaos:
-	$(GO) test -race -count=1 \
+	$(GO) test -race -count=1 -p 1 \
 		-run 'Chaos|Watchdog|Backoff|Compact|Corrupt|Evict|SourceSite|FuzzLoadJournal|TestFault|TestParse|TestApply|TornTail' \
 		./internal/fault/... ./internal/runner/... ./internal/replay/... \
 		./internal/server/... ./internal/store/...
@@ -71,10 +75,14 @@ serve-check:
 # byte-identical to generated runs and to the committed goldens, and
 # fan-out groups (shared-front digest points alongside per-run points)
 # must be byte-identical to the sequential per-run path at both the
-# simulator and campaign level.
+# simulator and campaign level. A 20 s smoke of the campaign-path
+# differential oracle (FuzzCampaignPaths: per-run, replay, fan-out and
+# warm-store results over generated configs must be byte-identical)
+# closes the gate.
 replay-check:
 	$(GO) test -count=1 -run 'TestReplayEquivalence|TestReplayMatchesGoldens|TestFanout' \
 		./internal/sim ./internal/runner
+	$(GO) test -run '^$$' -fuzz FuzzCampaignPaths -fuzztime 20s -parallel 2 ./internal/runner
 
 # Phase-aware sampling gate, race-enabled: the clusterer's determinism
 # and selection tests, the sampled executor's full-window byte-identity

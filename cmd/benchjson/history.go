@@ -47,7 +47,10 @@ type historyEntry struct {
 // must appear in at least one report to get a row. A cell measured at a
 // different GOMAXPROCS (procs) than the row's first appearance is a
 // different protocol: it is marked with crossProcs and, when it is the
-// newest, the row reports no speedup.
+// newest, the row reports no speedup. A one-shot cell (a sub-millisecond
+// benchmark timed over a single -benchtime 1x iteration, mostly harness
+// overhead) is marked with oneShotMark and never ranked: the speedup
+// runs from the row's first to its newest cell that is not one.
 func historyTable(entries []historyEntry) string {
 	sort.SliceStable(entries, func(a, b int) bool {
 		if entries[a].rep.Date != entries[b].rep.Date {
@@ -94,13 +97,22 @@ func historyTable(entries []historyEntry) string {
 		fmt.Fprintf(&b, "  %*s", colW, e.label)
 	}
 	fmt.Fprintf(&b, "  %*s\n", colW, "speedup")
-	marked := false
+	markedProcs, markedShots := false, false
 	for _, n := range names {
 		row := cells[n]
 		fmt.Fprintf(&b, "%-*s", nameW, n)
+		// procs is the row's first appearance; first and last are its
+		// first and newest ranked (not one-shot) cells.
+		procs := -1
 		var first, last Result
 		for _, r := range row {
-			if r.NsPerOp > 0 {
+			if r.NsPerOp <= 0 {
+				continue
+			}
+			if procs < 0 {
+				procs = r.Procs
+			}
+			if !oneShot(r) {
 				if first.NsPerOp == 0 {
 					first = r
 				}
@@ -108,33 +120,45 @@ func historyTable(entries []historyEntry) string {
 			}
 		}
 		for _, r := range row {
-			switch {
-			case r.NsPerOp == 0:
+			if r.NsPerOp == 0 {
 				fmt.Fprintf(&b, "  %*s", colW, "-")
-			case r.Procs != first.Procs:
-				marked = true
-				fmt.Fprintf(&b, "  %*s", colW, fmtNs(r.NsPerOp)+crossProcs)
-			default:
-				fmt.Fprintf(&b, "  %*s", colW, fmtNs(r.NsPerOp))
+				continue
 			}
+			cell := fmtNs(r.NsPerOp)
+			if r.Procs != procs {
+				markedProcs = true
+				cell += crossProcs
+			}
+			if oneShot(r) {
+				markedShots = true
+				cell += oneShotMark
+			}
+			fmt.Fprintf(&b, "  %*s", colW, cell)
 		}
 		// Speedup is first-vs-newest under one protocol; a single
-		// appearance has no trajectory yet.
-		if first.NsPerOp > 0 && last.NsPerOp > 0 && first.NsPerOp != last.NsPerOp && first.Procs == last.Procs {
+		// ranked appearance has no trajectory yet.
+		if first.NsPerOp > 0 && last.NsPerOp > 0 && first.NsPerOp != last.NsPerOp &&
+			first.Procs == procs && last.Procs == procs {
 			fmt.Fprintf(&b, "  %*s\n", colW, fmt.Sprintf("%.2fx", first.NsPerOp/last.NsPerOp))
 		} else {
 			fmt.Fprintf(&b, "  %*s\n", colW, "-")
 		}
 	}
-	if marked {
+	if markedProcs {
 		fmt.Fprintf(&b, "%s procs differ from the row's first report: not ranked\n", crossProcs)
+	}
+	if markedShots {
+		fmt.Fprintf(&b, "%s one-shot timing (1 iteration, under 1ms; mostly harness overhead): not ranked\n", oneShotMark)
 	}
 	return b.String()
 }
 
 // crossProcs marks a history cell measured at a different GOMAXPROCS
-// than its row's first appearance.
-const crossProcs = "*"
+// than its row's first appearance; oneShotMark marks a one-shot cell.
+const (
+	crossProcs  = "*"
+	oneShotMark = "~"
+)
 
 // runHistory loads the given report files (default: BENCH_*.json in the
 // current directory) and prints their trajectory table.

@@ -118,3 +118,62 @@ func TestHistoryTableMarksMismatchedProcs(t *testing.T) {
 		t.Errorf("table lacks the cross-procs legend:\n%s", got)
 	}
 }
+
+// TestHistoryTableSkipsOneShots checks a one-shot cell (one iteration
+// of a sub-millisecond benchmark) is marked and left out of the row's
+// ranking, whether it is the first or the newest cell, and that the
+// table explains the mark.
+func TestHistoryTableSkipsOneShots(t *testing.T) {
+	report := func(date string, rs ...Result) historyEntry {
+		return historyEntry{label: date, rep: &Report{Date: date, Benchmarks: rs}}
+	}
+	entries := []historyEntry{
+		report("2026-08-06",
+			Result{Name: "BenchmarkLookup", Procs: 1, Iterations: 1000, NsPerOp: 100},
+			Result{Name: "BenchmarkTraceGen", Procs: 1, Iterations: 1, NsPerOp: 36}),
+		report("2026-08-07",
+			Result{Name: "BenchmarkLookup", Procs: 1, Iterations: 1000, NsPerOp: 50},
+			Result{Name: "BenchmarkTraceGen", Procs: 1, Iterations: 500, NsPerOp: 400},
+			Result{Name: "BenchmarkShots", Procs: 1, Iterations: 1, NsPerOp: 900}),
+		report("2026-08-08",
+			Result{Name: "BenchmarkLookup", Procs: 1, Iterations: 1, NsPerOp: 1300},
+			Result{Name: "BenchmarkTraceGen", Procs: 1, Iterations: 500, NsPerOp: 200},
+			Result{Name: "BenchmarkShots", Procs: 1, Iterations: 1, NsPerOp: 90},
+			Result{Name: "BenchmarkSweep", Procs: 1, Iterations: 1, NsPerOp: 2e8}),
+	}
+	got := historyTable(entries)
+	row := func(name string) string {
+		t.Helper()
+		for _, l := range strings.Split(got, "\n") {
+			if strings.HasPrefix(l, name+" ") {
+				return strings.TrimRight(l, " ")
+			}
+		}
+		t.Fatalf("no row for %s in:\n%s", name, got)
+		return ""
+	}
+	// Newest cell one-shot: marked, and the speedup runs over the two
+	// multi-iteration cells (100ns -> 50ns).
+	if l := row("BenchmarkLookup"); !strings.Contains(l, "1.3us"+oneShotMark) || !strings.HasSuffix(l, "2.00x") {
+		t.Errorf("one-shot newest cell must be marked and skipped: %q", l)
+	}
+	// First cell one-shot: marked, and the speedup starts at the first
+	// ranked cell (400ns -> 200ns), not at the 36ns one-shot.
+	if l := row("BenchmarkTraceGen"); !strings.Contains(l, "36ns"+oneShotMark) || !strings.HasSuffix(l, "2.00x") {
+		t.Errorf("one-shot first cell must be marked and skipped: %q", l)
+	}
+	// Only one-shots: no trajectory.
+	if l := row("BenchmarkShots"); !strings.HasSuffix(l, "-") || strings.Contains(l, "x") {
+		t.Errorf("an all-one-shot row must report no speedup: %q", l)
+	}
+	// A single-iteration benchmark over 1ms is a real measurement.
+	if l := row("BenchmarkSweep"); strings.Contains(l, oneShotMark) {
+		t.Errorf("a 200ms single iteration is not a one-shot: %q", l)
+	}
+	if !strings.Contains(got, oneShotMark+" one-shot") {
+		t.Errorf("table lacks the one-shot footnote:\n%s", got)
+	}
+	if strings.Contains(got, crossProcs+" procs differ") {
+		t.Errorf("no cell differs in procs, yet the table carries the legend:\n%s", got)
+	}
+}

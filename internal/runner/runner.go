@@ -15,6 +15,12 @@
 //     by a deterministic config hash; rerunning the same campaign with
 //     the same journal skips everything already completed, so a crashed
 //     or interrupted sweep loses no finished work.
+//
+// RunAll plans before it runs: a pure planner (plan.go) assigns every
+// config one executor — journal, store hit, another campaign's flight,
+// sampled candidate, fan-out group or the full per-run path — and the
+// campaign executes the plan's stages in a fixed order through one
+// dispatcher, recording every success through one completion path.
 package runner
 
 import (
@@ -85,15 +91,15 @@ type Options struct {
 	// and replayed read-only by the rest. Results are byte-identical
 	// with or without it (the provider is excluded from config hashing).
 	Streams trace.SourceProvider
-	// Fanout enables sweep fan-out: pending configs that share a
-	// primary record stream (sim.FanGroupKey) are grouped and each group
-	// runs through sim.RunFanGroup before the per-run worker pool
-	// starts; the group's digest-eligible points share one trace decode
-	// and front-end pass, and the rest run per-run inside the group.
-	// Results are byte-identical to the sequential path; points that
-	// fail inside a group fall back to it, where the normal retry policy
-	// applies. Partial groups from a resumed journal and singleton
-	// groups always run per-run.
+	// Fanout enables sweep fan-out: the planner groups the configs that
+	// share a primary record stream (sim.FanGroupKey), and each group
+	// runs through sim.RunFanGroup before the per-run stage; the group's
+	// digest-eligible points share one trace decode and front-end pass,
+	// and the rest run per-run inside the group. Results are
+	// byte-identical to the sequential path; points that fail inside a
+	// group fall back to it, where the normal retry policy applies.
+	// Singleton groups, and groups a member of which is journaled,
+	// stored or in flight elsewhere, always run per-run.
 	Fanout bool
 	// FanMaxGroup caps a fan-out group's size; oversized groups are
 	// split into chunks of at most this many points. The campaign
@@ -104,9 +110,9 @@ type Options struct {
 	// just the per-run path).
 	FanMaxGroup int
 	// Sample enables phase-aware representative sampling: before the
-	// per-run pool starts, every distinct sample-eligible
-	// (workload, budgets, seed) projection among the pending configs
-	// gets one telemetry-only Isolation profile, the profile is
+	// per-run stage, every distinct sample-eligible
+	// (workload, budgets, seed) projection the planner found among the
+	// configs still to run gets one telemetry-only Isolation profile, the profile is
 	// clustered into a phase.Plan (internal/phase), and each member run
 	// then simulates only the plan's representative windows, reporting
 	// extrapolated metrics with error bounds in Result.Sampled. Configs
@@ -119,12 +125,13 @@ type Options struct {
 	Sample bool
 	// Pool, when non-nil, executes the campaign on a shared
 	// multi-campaign worker pool instead of workers owned by this
-	// orchestrator: every run (and every fan-out group) becomes one
-	// task on a weighted queue tagged Tenant/Weight, so concurrent
-	// campaigns interleave under stride fair scheduling and per-tenant
-	// concurrency caps. Workers is ignored in pool mode. Tasks shed by
-	// a draining pool are recorded as ErrCanceled, leaving them pending
-	// in the journal for the next resume.
+	// orchestrator: every run (and every profile and fan-out group)
+	// becomes one task on a weighted queue tagged Tenant/Weight, so
+	// concurrent campaigns interleave under stride fair scheduling and
+	// per-tenant concurrency caps. Workers is ignored in pool mode. Runs
+	// shed by a draining pool are recorded as ErrCanceled, leaving them
+	// pending in the journal for the next resume; a shed profile leaves
+	// its members unsampled and a shed group's points run per-run.
 	Pool *Pool
 	// Tenant tags the campaign's pool queue for per-tenant caps;
 	// Weight is its fair-share weight (minimum 1). Both are ignored
@@ -143,14 +150,16 @@ type Options struct {
 	// for concurrent use.
 	OnResult func(index int, key string, res *sim.Result, fromJournal bool)
 	// Store, when non-nil, is the cross-campaign content-addressed
-	// result store (internal/store): pending configs already stored
-	// under the current simulator fingerprint are satisfied without
-	// running, configs another campaign is computing right now are
-	// collapsed onto that computation via single-flight (no pool worker
-	// burned on a duplicate), and every full-fidelity completion is
-	// appended after its journal entry. Sampled runs bypass the store
-	// in both directions — approximations are never shared. Store
-	// failures degrade to compute-without-cache; they never fail a run.
+	// result store (internal/store): configs already stored under the
+	// current simulator fingerprint when the campaign is admitted are
+	// satisfied without running, configs another campaign is computing
+	// right now are collapsed onto that computation via single-flight
+	// (no pool worker burned on a duplicate), and every full-fidelity
+	// result this campaign computes is stored after its journal entry,
+	// then published to any campaign waiting on it. Sampled runs bypass
+	// the store in both directions — approximations are never shared.
+	// Store failures degrade to compute-without-cache; they never fail
+	// a run.
 	Store *store.Store
 }
 
@@ -226,29 +235,24 @@ func (o *Outcome) Err() error {
 // lost). Exit-code logic should key off this list: a campaign whose
 // every run completed is not a failed campaign just because a journal
 // write was.
-func (o *Outcome) HardFailures() []*RunError {
-	var hard []*RunError
-	for _, f := range o.Failures {
-		if !f.JournalOnly {
-			hard = append(hard, f)
-		}
-	}
-	return hard
-}
+func (o *Outcome) HardFailures() []*RunError { return o.failures(false) }
 
 // JournalFailures returns the journal-only failures.
-func (o *Outcome) JournalFailures() []*RunError {
-	var jf []*RunError
+func (o *Outcome) JournalFailures() []*RunError { return o.failures(true) }
+
+func (o *Outcome) failures(journalOnly bool) []*RunError {
+	var fs []*RunError
 	for _, f := range o.Failures {
-		if f.JournalOnly {
-			jf = append(jf, f)
+		if f.JournalOnly == journalOnly {
+			fs = append(fs, f)
 		}
 	}
-	return jf
+	return fs
 }
 
-// Orchestrator executes campaigns under one Options set. Safe for use
-// by a single campaign at a time.
+// Orchestrator executes campaigns under one Options set. RunAll keeps
+// its per-campaign state in a campaign of its own, so one orchestrator
+// may run several campaigns at once.
 type Orchestrator struct {
 	opts Options
 	// run executes one attempt; tests substitute it to inject panics
@@ -256,16 +260,16 @@ type Orchestrator struct {
 	// orchestrator regardless of the function used.
 	run func(ctx context.Context, cfg sim.Config) (*sim.Result, error)
 	// sleep waits out a backoff delay; tests substitute a fake clock.
-	// nil means a context-aware real sleep.
 	sleep func(ctx context.Context, d time.Duration)
-	// plans, built by runSamplePhase, is parallel to the RunAll input:
-	// a non-nil slot switches that config's attempts to phase-sampled
-	// execution (stripped again on a sampled failure's fallback).
-	plans []*phase.Plan
+	// analyze clusters a profile run into a sampling plan; tests
+	// substitute it to hand the executor a poisoned plan.
+	analyze func(profile *sim.Result, seed uint64) (*phase.Plan, error)
 }
 
 // New builds an orchestrator.
-func New(opts Options) *Orchestrator { return &Orchestrator{opts: opts} }
+func New(opts Options) *Orchestrator {
+	return &Orchestrator{opts: opts, sleep: ctxSleep, analyze: analyzeProfile}
+}
 
 func (o *Orchestrator) logf(format string, args ...any) {
 	if o.opts.Logf != nil {
@@ -335,342 +339,355 @@ func ctxSleep(ctx context.Context, d time.Duration) {
 // is reserved for campaign-level faults (an unreadable or unwritable
 // journal); per-run failures — including cancellation — are reported in
 // Outcome.Failures so callers can emit completed rows and exit non-zero.
+//
+// A campaign loads its journal, plans every config onto one executor
+// (plan.go), and executes the plan's stages in order.
 func (o *Orchestrator) RunAll(ctx context.Context, cfgs []sim.Config) (*Outcome, error) {
-	out := &Outcome{Results: make([]*sim.Result, len(cfgs))}
-
-	keys := make([]string, len(cfgs))
+	c := &campaign{
+		o: o, ctx: ctx, cfgs: cfgs, keys: make([]string, len(cfgs)),
+		out:   &Outcome{Results: make([]*sim.Result, len(cfgs))},
+		prior: make([]int, len(cfgs)), plans: make([]*phase.Plan, len(cfgs)),
+	}
+	c.prog = telemetry.NewProgress(len(cfgs), time.Now())
+	if o.opts.CampaignID != "" {
+		telemetry.RegisterCampaign(o.opts.CampaignID, c.prog)
+	} else {
+		c.prog.Publish()
+	}
 	for i, cfg := range cfgs {
 		k, err := ConfigKey(cfg)
 		if err != nil {
-			out.Failures = append(out.Failures, &RunError{
-				Index: i, Config: cfg, Attempts: 0,
-				Err: fmt.Errorf("%w: unhashable: %v", sim.ErrBadConfig, err),
-			})
+			c.fail(&RunError{Index: i, Config: cfg,
+				Err: fmt.Errorf("%w: unhashable: %v", sim.ErrBadConfig, err)}, false)
 			continue
 		}
-		keys[i] = k
+		c.keys[i] = k
 	}
 
-	prog := telemetry.NewProgress(len(cfgs), time.Now())
-	if o.opts.CampaignID != "" {
-		telemetry.RegisterCampaign(o.opts.CampaignID, prog)
-	} else {
-		prog.Publish()
-	}
-	for range out.Failures {
-		prog.RunFailed() // unhashable configs counted up front
-	}
-
-	var journal *Journal
 	if o.opts.Journal != "" {
-		var done map[string]*sim.Result
-		var jst LoadStats
-		var err error
-		journal, done, jst, err = OpenJournal(o.opts.Journal)
-		if err != nil {
+		if err := c.resume(); err != nil {
 			return nil, err
 		}
-		defer journal.Close()
-		for i := range cfgs {
-			if res, ok := done[keys[i]]; ok && keys[i] != "" {
-				out.Results[i] = res
-				out.FromJournal++
-			}
-		}
-		prog.FromJournal(out.FromJournal)
-		prog.JournalSkipped(jst.Skipped)
-		if out.FromJournal > 0 || jst.Skipped > 0 {
-			line := fmt.Sprintf("resume: %d of %d runs already journaled in %s",
-				out.FromJournal, len(cfgs), o.opts.Journal)
-			if jst.Skipped > 0 {
-				line += fmt.Sprintf(" (%d corrupt journal lines skipped; their runs re-execute)", jst.Skipped)
-			}
-			if jst.TruncatedTail {
-				line += " (truncated final line from an interrupted append dropped)"
-			}
-			o.logf("%s", line)
-		}
+		defer c.journal.Close()
 	}
-
 	if o.opts.OnResult != nil {
-		for i := range cfgs {
-			if out.Results[i] != nil {
-				o.opts.OnResult(i, keys[i], out.Results[i], true)
+		for i, res := range c.out.Results {
+			if res != nil {
+				o.opts.OnResult(i, c.keys[i], res, true)
 			}
 		}
 	}
-
-	var pending []int
-	for i := range cfgs {
-		if out.Results[i] == nil && keys[i] != "" {
-			pending = append(pending, i)
-		}
-	}
-
-	// prior[i] counts failed fan-out in-group attempts for config i, so
-	// a point that dies inside a group re-enters the per-run
-	// retry/backoff ladder at the next rung instead of retrying
-	// immediately.
-	prior := make([]int, len(cfgs))
-
-	// Heartbeats: a ticker goroutine snapshots the live progress and
-	// pushes one line per period through Logf, plus a final line when
-	// the campaign drains.
-	var heartbeatDone chan struct{}
 	if o.opts.Progress > 0 && o.opts.Logf != nil {
-		heartbeatDone = make(chan struct{})
-		go func() {
-			t := time.NewTicker(o.opts.Progress)
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					o.logf("%s", prog.Snapshot(time.Now()))
-				case <-heartbeatDone:
-					return
-				}
-			}
-		}()
+		defer c.heartbeat()()
 	}
-
-	var mu sync.Mutex
-	var q *Queue
 	if o.opts.Pool != nil {
-		q = o.opts.Pool.NewQueue(o.opts.Tenant, o.opts.Weight)
-		defer q.Close()
+		c.q = o.opts.Pool.NewQueue(o.opts.Tenant, o.opts.Weight)
+		defer c.q.Close()
 	}
 
-	// Store phase: before any scheduling, satisfy pending configs from
-	// the cross-campaign result store, and pull configs another campaign
-	// is computing right now out of the scheduling paths entirely — each
-	// becomes a watcher (launched below, after the phase planners have
-	// run) that blocks on the in-flight computation instead of burning a
-	// pool worker on a duplicate. Running this before the sample/fan
-	// phases keeps already-answered configs out of profile and decode
-	// work.
-	var watcherIdx []int
+	// Admission: one store Get per config still to run (counting its
+	// miss); a hit's result waits in Results for execute to finish it.
+	var admit func(int) executor
 	if st := o.opts.Store; st != nil {
-		rest := pending[:0]
-		hits := 0
-		for _, i := range pending {
-			if res, ok := st.Get(keys[i]); ok {
-				mu.Lock()
-				out.Results[i] = res
-				out.FromStore++
-				mu.Unlock()
-				hits++
-				prog.RunCompleted()
-				if o.opts.OnResult != nil {
-					o.opts.OnResult(i, keys[i], res, false)
-				}
-				o.journalOne(journal, i, 0, cfgs, keys, res, out, &mu, prog)
-				continue
+		admit = func(i int) executor {
+			if res, ok := st.Get(c.keys[i]); ok {
+				c.out.Results[i] = res
+				return execStore
 			}
-			if st.InFlight(keys[i]) {
-				watcherIdx = append(watcherIdx, i)
-				continue
+			if st.InFlight(c.keys[i]) {
+				return execFlight
 			}
-			rest = append(rest, i)
-		}
-		pending = rest
-		if hits > 0 || len(watcherIdx) > 0 {
-			o.logf("store: %d of %d pending runs served from %s (%d more in flight elsewhere)",
-				hits, hits+len(watcherIdx)+len(pending), st.FingerprintID(), len(watcherIdx))
+			return execFull
 		}
 	}
+	journaled := func(i int) bool { return c.out.Results[i] != nil }
+	c.execute(plan(cfgs, c.keys, journaled, admit, o.opts, o.run != nil))
 
-	if o.opts.Sample && o.run == nil {
-		// Sample phase: profile, cluster and stamp sampling plans (see
-		// sample.go). Test harnesses that substitute o.run bypass it —
-		// a profile runs the real simulator, not the injected stand-in.
-		if o.opts.Fanout {
-			o.logf("sampling and fan-out both requested; sampling wins (fan groups run the full simulator)")
+	sort.Slice(c.out.Failures, func(a, b int) bool {
+		return c.out.Failures[a].Index < c.out.Failures[b].Index
+	})
+	return c.out, nil
+}
+
+// campaign is one RunAll call's state, shared by every stage.
+type campaign struct {
+	o       *Orchestrator
+	ctx     context.Context
+	cfgs    []sim.Config
+	keys    []string // "" where ConfigKey failed
+	out     *Outcome
+	mu      sync.Mutex // guards out once the stages run
+	prog    *telemetry.Progress
+	journal *Journal
+	q       *Queue // the shared pool's queue; nil with private workers
+	// prior counts each config's failed fan-out in-group attempts, so a
+	// point that dies inside a group re-enters the per-run retry/backoff
+	// ladder at the next rung instead of retrying immediately.
+	prior []int
+	// plans holds each sampled candidate's plan once its profile ran; a
+	// nil slot runs the full ROI.
+	plans []*phase.Plan
+}
+
+// resume opens the campaign journal and takes every journaled config's
+// result from it.
+func (c *campaign) resume() error {
+	journal, done, jst, err := OpenJournal(c.o.opts.Journal)
+	if err != nil {
+		return err
+	}
+	c.journal = journal
+	out := c.out
+	for i, k := range c.keys {
+		if res, ok := done[k]; ok && k != "" {
+			out.Results[i] = res
+			out.FromJournal++
 		}
-		o.runSamplePhase(ctx, cfgs, pending, q)
-	} else if o.opts.Fanout && o.run == nil {
-		// Fan-out phase: grouped points run against one shared decode;
-		// whatever it could not place (singletons, partial resume groups,
-		// in-group failures) drains through the per-run pool below. Test
-		// harnesses that substitute o.run bypass it — a fan group runs
-		// the real simulator, not the injected stand-in.
-		pending = o.runFanPhase(ctx, cfgs, keys, pending, prior, out, &mu, prog, journal, q)
+	}
+	c.prog.FromJournal(out.FromJournal)
+	c.prog.JournalSkipped(jst.Skipped)
+	if out.FromJournal > 0 || jst.Skipped > 0 {
+		line := fmt.Sprintf("resume: %d of %d runs already journaled in %s",
+			out.FromJournal, len(c.cfgs), c.o.opts.Journal)
+		if jst.Skipped > 0 {
+			line += fmt.Sprintf(" (%d corrupt journal lines skipped; their runs re-execute)", jst.Skipped)
+		}
+		if jst.TruncatedTail {
+			line += " (truncated final line from an interrupted append dropped)"
+		}
+		c.o.logf("%s", line)
+	}
+	return nil
+}
+
+// heartbeat pushes a live progress snapshot through Logf every Progress
+// period until the returned stop, which logs the final one.
+func (c *campaign) heartbeat() (stop func()) {
+	done := make(chan struct{})
+	go func() {
+		t := time.NewTicker(c.o.opts.Progress)
+		defer t.Stop()
+		for {
+			select {
+			case <-t.C:
+				c.o.logf("%s", c.prog.Snapshot(time.Now()))
+			case <-done:
+				return
+			}
+		}
+	}()
+	return func() {
+		close(done)
+		c.o.logf("%s", c.prog.Snapshot(time.Now()))
+	}
+}
+
+// execute runs a plan's stages in order: admission-time store hits, the
+// sampling profiles, the fan-out groups, and last the per-run points
+// alongside the watchers of configs in flight elsewhere. Each stage's
+// shed tasks degrade rather than fail: an unprofiled candidate runs the
+// full ROI, a shed group's points join the per-run stage at rung 0, and
+// only a shed per-run point fails, as ErrCanceled.
+func (c *campaign) execute(e []entry) {
+	var flights, perRun []int
+	hits, pending := 0, 0
+	for i, en := range e {
+		switch en.exec {
+		case execStore:
+			hits++
+			c.finish(i, c.out.Results[i], 0, store.ViaHit)
+		case execFlight:
+			flights = append(flights, i)
+		case execFull, execSampled:
+			perRun = append(perRun, i)
+			pending++
+		case execFan:
+			pending++
+		}
+	}
+	if hits > 0 || len(flights) > 0 {
+		c.o.logf("store: %d of %d pending runs served from %s (%d more in flight elsewhere)",
+			hits, hits+len(flights)+pending, c.o.opts.Store.FingerprintID(), len(flights))
+	}
+	if c.o.opts.Sample && c.o.opts.Fanout && c.o.run == nil {
+		c.o.logf("sampling and fan-out both requested; sampling wins (fan groups run the full simulator)")
 	}
 
-	// Watchers: configs found in flight elsewhere during the store phase
-	// ride on plain goroutines — execOne lands in the store's
-	// single-flight wait (or inherits the finished result, or becomes
-	// the new leader if the other campaign's attempt died) without
-	// occupying a pool slot or one of this campaign's workers.
+	workers := c.o.opts.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	pg := groups(e, execSampled)
+	c.dispatch(len(pg), workers, func(g int, shed bool) {
+		if !shed {
+			c.profile(pg[g])
+		}
+	})
+
+	// Fan groups run one at a time without a shared pool, so the
+	// campaign's peak footprint stays at one group (fanout.go).
+	fg := groups(e, execFan)
+	var fmu sync.Mutex
+	c.dispatch(len(fg), 1, func(g int, shed bool) {
+		fallback := fg[g]
+		if !shed {
+			fallback = c.runFanGroup(g, fg[g])
+		}
+		fmu.Lock()
+		perRun = append(perRun, fallback...)
+		fmu.Unlock()
+	})
+	sort.Ints(perRun)
+
+	// Watchers ride on plain goroutines: the store's single-flight wait
+	// (or the finished result, or a new leadership if the other
+	// campaign's attempt died) needs no worker of this campaign or pool.
 	var watchers sync.WaitGroup
-	for _, i := range watcherIdx {
-		i := i
+	for _, i := range flights {
 		watchers.Add(1)
 		go func() {
 			defer watchers.Done()
-			o.execOne(ctx, i, cfgs, keys, prior, out, &mu, prog, journal)
+			c.runPoint(i, false)
 		}()
 	}
-
-	if q != nil {
-		// Shared-pool mode: one task per pending config on the
-		// campaign's weighted queue. A task shed by a draining pool is
-		// recorded as ErrCanceled — same accounting as an unscheduled
-		// config below — which leaves it pending in the journal for the
-		// next resume.
-		var wg sync.WaitGroup
-		for _, i := range pending {
-			i := i
-			wg.Add(1)
-			q.Submit(func(shed bool) {
-				defer wg.Done()
-				if shed || ctx.Err() != nil {
-					mu.Lock()
-					out.Failures = append(out.Failures, &RunError{
-						Index: i, Config: cfgs[i], Key: keys[i], Err: sim.ErrCanceled,
-					})
-					mu.Unlock()
-					prog.RunFailed()
-					return
-				}
-				o.execOne(ctx, i, cfgs, keys, prior, out, &mu, prog, journal)
-			})
-		}
-		wg.Wait()
-	} else {
-		workers := o.opts.Workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		var wg sync.WaitGroup
-		idx := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					o.execOne(ctx, i, cfgs, keys, prior, out, &mu, prog, journal)
-				}
-			}()
-		}
-		scheduled := len(pending)
-		for n, i := range pending {
-			select {
-			case idx <- i:
-			case <-ctx.Done():
-				scheduled = n
-			}
-			if scheduled != len(pending) {
-				break
-			}
-		}
-		close(idx)
-		wg.Wait()
-		for _, i := range pending[scheduled:] {
-			out.Failures = append(out.Failures, &RunError{
-				Index: i, Config: cfgs[i], Key: keys[i], Err: sim.ErrCanceled,
-			})
-			prog.RunFailed()
-		}
-	}
+	c.dispatch(len(perRun), workers, func(k int, shed bool) { c.runPoint(perRun[k], shed) })
 	watchers.Wait()
-	if heartbeatDone != nil {
-		close(heartbeatDone)
-		o.logf("%s", prog.Snapshot(time.Now()))
-	}
-	sort.Slice(out.Failures, func(a, b int) bool {
-		return out.Failures[a].Index < out.Failures[b].Index
-	})
-	return out, nil
 }
 
-// execOne runs one pending config end to end — retry ladder, result and
-// failure accounting, journal append, result callback — sharing the
-// campaign mutex with every other executor of the same campaign. With a
-// result store configured, full-fidelity attempts run under its
-// single-flight: concurrent identical configs (other campaigns, other
-// tenants) collapse onto one computation, and the computing side
-// persists its result to the store after the journal append. Sampled
-// attempts bypass the store — approximations are never shared.
-func (o *Orchestrator) execOne(ctx context.Context, i int, cfgs []sim.Config, keys []string,
-	prior []int, out *Outcome, mu *sync.Mutex, prog *telemetry.Progress, journal *Journal) {
-	st := o.opts.Store
-	sampled := o.plans != nil && o.plans[i] != nil
-	var (
-		res      *sim.Result
-		attempts int
-		rerr     *RunError
-	)
-	via := store.ViaCompute
-	if st != nil && !sampled {
-		var shared *sim.Result
-		var derr error
-		shared, via, derr = st.Do(ctx, keys[i], func() (*sim.Result, error) {
-			res, attempts, rerr = o.runOne(ctx, i, cfgs[i], keys[i], prior[i], prog)
-			if rerr != nil {
-				return nil, rerr.Err
+// dispatch runs task(k) for every k in [0, n) and returns when all have
+// returned. On a shared pool each is one task on the campaign's weighted
+// queue; otherwise at most limit run at once on workers of this
+// campaign. A task runs with shed set when the pool shed it or the
+// campaign's context ended before it started, and must then only
+// account for itself.
+func (c *campaign) dispatch(n, limit int, task func(k int, shed bool)) {
+	var wg sync.WaitGroup
+	wg.Add(n)
+	run := func(k int, shed bool) {
+		defer wg.Done()
+		task(k, shed || c.ctx.Err() != nil)
+	}
+	if c.q != nil {
+		for k := 0; k < n; k++ {
+			c.q.Submit(func(shed bool) { run(k, shed) })
+		}
+		wg.Wait()
+		return
+	}
+	next := make(chan int)
+	for w := 0; w < min(limit, n); w++ {
+		go func() {
+			for k := range next {
+				run(k, false)
 			}
-			return res, nil
-		})
-		switch {
-		case via == store.ViaCompute:
-			// res/attempts/rerr already carry this run's own attempt.
-		case derr != nil:
-			// Canceled while waiting on another campaign's computation.
-			rerr = &RunError{Index: i, Config: cfgs[i], Key: keys[i], Err: sim.ErrCanceled}
-		default:
-			res, rerr = shared, nil
+		}()
+	}
+	k := 0
+send:
+	for ; k < n; k++ {
+		select {
+		case next <- k:
+		case <-c.ctx.Done():
+			break send
 		}
-	} else {
-		res, attempts, rerr = o.runOne(ctx, i, cfgs[i], keys[i], prior[i], prog)
 	}
+	close(next)
+	for ; k < n; k++ {
+		run(k, true)
+	}
+	wg.Wait()
+}
 
-	mu.Lock()
-	if via == store.ViaCompute {
-		out.Ran++
-	} else if rerr == nil {
-		out.FromStore++
-	}
-	if rerr != nil {
-		out.Failures = append(out.Failures, rerr)
-		mu.Unlock()
-		prog.RunFailed()
+// runPoint executes one config on the per-run path: the retry ladder,
+// under the store's single-flight when the config runs at full
+// fidelity, so a duplicate of another campaign's computation waits for
+// it instead of computing. Sampled attempts bypass the store —
+// approximations are never shared. A shed point fails as ErrCanceled,
+// which leaves it pending in the journal for the next resume.
+func (c *campaign) runPoint(i int, shed bool) {
+	if shed {
+		c.fail(c.canceled(i), false)
 		return
 	}
-	out.Results[i] = res
-	mu.Unlock()
-	prog.RunCompleted()
-	if o.opts.OnResult != nil {
-		o.opts.OnResult(i, keys[i], res, false)
-	}
-	o.journalOne(journal, i, attempts, cfgs, keys, res, out, mu, prog)
-	if st != nil && !sampled && via == store.ViaCompute {
-		// Persist for every future campaign, after the journal append so
-		// the campaign's own durability is settled first. A failed Put
-		// costs only the cache entry — the run already succeeded.
-		if err := st.Put(keys[i], res); err != nil {
-			o.logf("store: caching result of run %d failed (campaign unaffected): %v", i, err)
+	compute := func() (*sim.Result, error) {
+		res, attempts, rerr := c.runOne(i)
+		if rerr != nil {
+			c.fail(rerr, true)
+			return nil, rerr.Err
 		}
+		c.finish(i, res, attempts, store.ViaCompute)
+		return res, nil
+	}
+	st := c.o.opts.Store
+	if st == nil || c.plans[i] != nil {
+		compute()
+		return
+	}
+	res, via, err := st.Do(c.ctx, c.keys[i], compute)
+	switch {
+	case via == store.ViaCompute:
+		// compute recorded its own outcome
+	case err != nil:
+		// Canceled while waiting on another campaign's computation.
+		c.fail(c.canceled(i), false)
+	default:
+		c.finish(i, res, 0, via)
 	}
 }
 
-// journalOne appends one completed result to the resume journal,
-// recording an append failure as a journal-only RunError: the run
-// itself succeeded and its result is kept in Results[i]; only the
-// checkpoint was lost, and exit-code logic and reports stay truthful.
-func (o *Orchestrator) journalOne(journal *Journal, i, attempts int, cfgs []sim.Config,
-	keys []string, res *sim.Result, out *Outcome, mu *sync.Mutex, prog *telemetry.Progress) {
-	if journal == nil {
-		return
+// finish records one success, whichever executor produced it: the
+// result, the Ran/FromStore count, progress, OnResult and the journal
+// append — a failed append becomes a journal-only RunError, since the
+// run itself succeeded. A full-fidelity result this campaign computed
+// is then stored and published to any campaign waiting on its flight,
+// after the journal append so the campaign's own durability is settled
+// first. A failed Put costs only the cache entry.
+func (c *campaign) finish(i int, res *sim.Result, attempts int, via store.Via) {
+	c.mu.Lock()
+	c.out.Results[i] = res
+	if via == store.ViaCompute {
+		c.out.Ran++
+	} else {
+		c.out.FromStore++
 	}
-	if err := journal.Append(keys[i], res); err != nil {
-		prog.JournalError()
-		mu.Lock()
-		out.Failures = append(out.Failures, &RunError{
-			Index: i, Config: cfgs[i], Key: keys[i],
-			Attempts: attempts, JournalOnly: true,
-			Err: fmt.Errorf("journaling result: %w", err),
-		})
-		mu.Unlock()
+	c.mu.Unlock()
+	c.prog.RunCompleted()
+	if c.o.opts.OnResult != nil {
+		c.o.opts.OnResult(i, c.keys[i], res, false)
+	}
+	if c.journal != nil {
+		if err := c.journal.Append(c.keys[i], res); err != nil {
+			c.prog.JournalError()
+			c.fail(&RunError{
+				Index: i, Config: c.cfgs[i], Key: c.keys[i],
+				Attempts: attempts, JournalOnly: true,
+				Err: fmt.Errorf("journaling result: %w", err),
+			}, false)
+		}
+	}
+	if st := c.o.opts.Store; st != nil && via == store.ViaCompute && c.plans[i] == nil {
+		if err := st.Put(c.keys[i], res); err != nil {
+			c.o.logf("store: caching result of run %d failed (campaign unaffected): %v", i, err)
+		}
+		st.Publish(c.keys[i], res)
+	}
+}
+
+// canceled is config i's failure when the campaign ends before it runs.
+func (c *campaign) canceled(i int) *RunError {
+	return &RunError{Index: i, Config: c.cfgs[i], Key: c.keys[i], Err: sim.ErrCanceled}
+}
+
+// fail records one failure; ran counts it as executed by this campaign.
+func (c *campaign) fail(re *RunError, ran bool) {
+	c.mu.Lock()
+	if ran {
+		c.out.Ran++
+	}
+	c.out.Failures = append(c.out.Failures, re)
+	c.mu.Unlock()
+	if !re.JournalOnly {
+		c.prog.RunFailed()
 	}
 }
 
@@ -682,7 +699,8 @@ func (o *Orchestrator) journalOne(journal *Journal, i, attempts int, cfgs []sim.
 // original seed, so a clean fallback stays byte-identical to a
 // sequential run. It returns the total attempt count alongside the
 // result so journal-only failures can carry it.
-func (o *Orchestrator) runOne(ctx context.Context, index int, cfg sim.Config, key string, prior int, prog *telemetry.Progress) (*sim.Result, int, *RunError) {
+func (c *campaign) runOne(index int) (*sim.Result, int, *RunError) {
+	o, ctx, cfg, prior := c.o, c.ctx, c.cfgs[index], c.prior[index]
 	runFn := o.run
 	if runFn == nil {
 		runFn = sim.RunContext
@@ -692,7 +710,7 @@ func (o *Orchestrator) runOne(ctx context.Context, index int, cfg sim.Config, ke
 		// is recovered by safeCall and an injected wedge is exactly what
 		// the watchdog must convert into a typed failure.
 		inner := runFn
-		runFn = func(ctx context.Context, c sim.Config) (*sim.Result, error) {
+		runFn = func(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
 			if fault.Fires(fault.SiteWorkerPanic) {
 				panic(fmt.Sprintf("%v at %s", fault.ErrInjected, fault.SiteWorkerPanic))
 			}
@@ -702,7 +720,7 @@ func (o *Orchestrator) runOne(ctx context.Context, index int, cfg sim.Config, ke
 			if fault.Fires(fault.SiteWorkerHang) {
 				fault.Hang()
 			}
-			return inner(ctx, c)
+			return inner(ctx, cfg)
 		}
 	}
 	// plan, when non-nil, runs this config's attempts in phase-sampled
@@ -710,40 +728,32 @@ func (o *Orchestrator) runOne(ctx context.Context, index int, cfg sim.Config, ke
 	// same attempt on the full-ROI path — a free retry with the same
 	// seed, so sampling can degrade the budget saving but never the
 	// campaign's outcome.
-	var plan *phase.Plan
-	if o.plans != nil {
-		plan = o.plans[index]
-	}
+	plan := c.plans[index]
 	start := time.Now()
 	var err error
 	attempts := 0
 	for attempts <= o.opts.Retries {
-		c := cfg
-		c.Seed = PerturbSeed(cfg.Seed, attempts)
-		if c.Streams == nil {
-			c.Streams = o.opts.Streams
+		run := cfg
+		run.Seed = PerturbSeed(cfg.Seed, attempts)
+		if run.Streams == nil {
+			run.Streams = o.opts.Streams
 		}
-		c.Sample = plan
+		run.Sample = plan
 		// ladder is this attempt's rung on the retry/backoff ladder:
 		// per-run retries plus any failed in-group fan-out attempt, so
 		// a fallback waits out the same backoff a plain retry would.
 		ladder := prior + attempts
 		if ladder > 0 {
+			c.prog.Retried()
 			if attempts > 0 {
-				prog.Retried()
 				o.logf("retry %d/%d for run %d (%s %s): %v; perturbed seed %d",
-					attempts, o.opts.Retries, index, cfg.Mode, cfg.Workload, err, c.Seed)
+					attempts, o.opts.Retries, index, cfg.Mode, cfg.Workload, err, run.Seed)
 			} else {
-				prog.Retried()
 				o.logf("run %d (%s %s) re-enters the backoff ladder at rung %d after an in-group failure",
 					index, cfg.Mode, cfg.Workload, ladder)
 			}
 			if d := backoffDelay(o.opts.Backoff, o.opts.BackoffMax, ladder, cfg.Seed); d > 0 {
-				sleep := o.sleep
-				if sleep == nil {
-					sleep = ctxSleep
-				}
-				sleep(ctx, d)
+				o.sleep(ctx, d)
 				if ctx.Err() != nil {
 					err = sim.ErrCanceled
 					break
@@ -758,7 +768,7 @@ func (o *Orchestrator) runOne(ctx context.Context, index int, cfg sim.Config, ke
 			rctx, cancel = context.WithTimeout(ctx, o.opts.Timeout)
 		}
 		var res *sim.Result
-		res, err = o.guardedCall(runFn, rctx, c)
+		res, err = o.guardedCall(runFn, rctx, run)
 		cancel()
 		if err == nil {
 			return res, prior + attempts, nil
@@ -786,7 +796,7 @@ func (o *Orchestrator) runOne(ctx context.Context, index int, cfg sim.Config, ke
 		}
 	}
 	re := &RunError{
-		Index: index, Config: cfg, Key: key, Err: err,
+		Index: index, Config: cfg, Key: c.keys[index], Err: err,
 		WallTime: time.Since(start), Attempts: prior + attempts,
 	}
 	var pe *sim.PanicError

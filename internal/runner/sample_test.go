@@ -126,26 +126,34 @@ func TestSampleIneligibleStaysFull(t *testing.T) {
 }
 
 // TestChaosSampledPlanFallsBackToFullRun hands the executor a poisoned
-// plan (no usable windows): the sampled attempt must fail, strip the
-// plan without consuming retry budget, and the same-seed full-ROI rerun
-// must deliver the exact unsampled result.
+// plan (no usable windows) through the profile stage's analyze step: the
+// sampled attempt must fail, strip the plan without consuming retry
+// budget, and the same-seed full-ROI rerun must deliver the exact
+// unsampled result.
 func TestChaosSampledPlanFallsBackToFullRun(t *testing.T) {
 	cfg := tinyCfg("433.milc", 0.2)
 	ref, err := sim.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := New(Options{Workers: 1}) // Retries: 0 — the fallback must be free
-	o.plans = []*phase.Plan{{
-		Phases: 1, Intervals: 1,
-		Windows: []phase.Window{{Start: 0, End: 0, CoverInstrs: 0}},
-	}}
+	o := New(Options{Workers: 1, Sample: true}) // Retries: 0 — the fallback must be free
+	analyzed := 0
+	o.analyze = func(*sim.Result, uint64) (*phase.Plan, error) {
+		analyzed++
+		return &phase.Plan{
+			Phases: 1, Intervals: 1,
+			Windows: []phase.Window{{Start: 0, End: 0, CoverInstrs: 0}},
+		}, nil
+	}
 	var out *Outcome
 	d := phaseDelta(func() {
 		out, err = o.RunAll(context.Background(), []sim.Config{cfg})
 	})
 	if err != nil || len(out.Failures) != 0 {
 		t.Fatalf("campaign: err=%v failures=%v", err, out.Failures)
+	}
+	if analyzed != 1 {
+		t.Fatalf("analyze ran %d times, want 1 (the config was not planned as a sampled candidate)", analyzed)
 	}
 	if d["sampled_fallbacks"] != 1 {
 		t.Errorf("sampled_fallbacks moved by %d, want 1", d["sampled_fallbacks"])

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -283,5 +284,77 @@ func TestStoreSkipsSampledResults(t *testing.T) {
 	}
 	if out2.Results[0].Sampled != nil {
 		t.Fatal("full-fidelity pass returned a sampled result")
+	}
+}
+
+// TestCanceledScheduleWithWatcherRecordsFailuresUnderLock is the race
+// regression for the failure log after a canceled schedule: campaign A
+// watches a config campaign B is computing (B's leader is blocked in
+// Store.Do), and A is canceled while its one worker holds a run and the
+// rest of its per-run points are still unscheduled. The watcher's
+// ErrCanceled and the unscheduled points' ErrCanceled land in the same
+// failure log concurrently; run under -race, every append must go
+// through the campaign lock.
+func TestCanceledScheduleWithWatcherRecordsFailuresUnderLock(t *testing.T) {
+	st := openStore(t, t.TempDir(), "sim-test")
+	watched := tinyCfg("433.milc", 0.1)
+
+	block := make(chan struct{})
+	var leading atomic.Int32
+	oB := New(Options{Workers: 1, Store: st})
+	oB.run = func(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
+		leading.Add(1)
+		<-block
+		return &sim.Result{Config: cfg, IPC: 1}, nil
+	}
+	doneB := make(chan *Outcome, 1)
+	go func() {
+		out, _ := oB.RunAll(context.Background(), []sim.Config{watched})
+		doneB <- out
+	}()
+	for leading.Load() == 0 {
+		runtime.Gosched()
+	}
+
+	cfgs := []sim.Config{watched}
+	for k := 0; k < 6; k++ {
+		cfgs = append(cfgs, tinyCfg("470.lbm", 0.1*float64(k+1)))
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	running := make(chan struct{}, 1)
+	oA := New(Options{Workers: 1, Store: st})
+	oA.run = func(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
+		if cfg.Workload == watched.Workload {
+			t.Error("watcher computed instead of waiting on the flight")
+		}
+		running <- struct{}{}
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}
+	doneA := make(chan *Outcome, 1)
+	go func() {
+		out, _ := oA.RunAll(ctx, cfgs)
+		doneA <- out
+	}()
+	<-running             // A's worker holds its first per-run point
+	waitParkedOnFlight(t) // A's watcher waits on B's flight
+	cancel()
+	outA := <-doneA
+	close(block)
+	if outB := <-doneB; outB.Err() != nil {
+		t.Fatalf("leader campaign: %v", outB.Err())
+	}
+
+	if len(outA.Failures) != len(cfgs) {
+		t.Fatalf("canceled campaign recorded %d failures, want %d: %v", len(outA.Failures), len(cfgs), outA.Failures)
+	}
+	for i, f := range outA.Failures {
+		if f.Index != i || !errors.Is(f.Err, sim.ErrCanceled) {
+			t.Errorf("failure %d = index %d (%v), want index %d ErrCanceled", i, f.Index, f.Err, i)
+		}
+	}
+	if outA.Ran != 1 || outA.FromStore != 0 {
+		t.Errorf("Ran=%d FromStore=%d, want 1/0 (only the held point ran)", outA.Ran, outA.FromStore)
 	}
 }

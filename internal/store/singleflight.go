@@ -43,9 +43,12 @@ var testWaitHook func()
 // panics is chaos-safe: its waiters wake into their own attempts (one
 // of them becomes the next leader) rather than inheriting the failure.
 //
-// Do does not write the store; the leader's caller persists the result
-// itself (journal first, then Put) so durability ordering matches the
-// campaign journal. On a nil store Do degrades to calling compute.
+// Do does not write the store; the leader's compute persists the result
+// itself (journal first, then Put, then Publish) so durability ordering
+// matches the campaign journal and waiters only ever receive a result
+// that is already stored. A result compute did not publish is handed to
+// the waiters when compute returns. On a nil store Do degrades to
+// calling compute.
 func (s *Store) Do(ctx context.Context, key string, compute func() (*sim.Result, error)) (*sim.Result, Via, error) {
 	if s == nil {
 		res, err := compute()
@@ -87,22 +90,52 @@ func (s *Store) Do(ctx context.Context, key string, compute func() (*sim.Result,
 			err error
 		)
 		func() {
-			// The deferred unwind runs even when compute panics, so
-			// waiters are always released; the panic itself propagates to
-			// the caller's recovery (the runner's safeCall).
+			// The deferred land runs even when compute panics, so waiters
+			// are always released; the panic itself propagates to the
+			// caller's recovery (the runner's safeCall). It is a no-op
+			// when compute already published the flight.
 			defer func() {
-				s.fmu.Lock()
-				delete(s.flights, key)
-				s.fmu.Unlock()
-				close(f.done)
+				var out *sim.Result
+				if err == nil {
+					out = res
+				}
+				s.land(key, f, out)
 			}()
 			res, err = compute()
-			if err == nil {
-				f.res, f.ok = res, true
-			}
 		}()
 		return res, ViaCompute, err
 	}
+}
+
+// land ends key's flight f (any flight of key when f is nil): res, when
+// non-nil, is handed to its waiters, and a nil res wakes them into their
+// own attempts. Only the caller that removes the flight from the table
+// closes it, so landing an already-landed flight is a no-op.
+func (s *Store) land(key string, f *flight, res *sim.Result) {
+	s.fmu.Lock()
+	cur, ok := s.flights[key]
+	if !ok || (f != nil && cur != f) {
+		s.fmu.Unlock()
+		return
+	}
+	delete(s.flights, key)
+	s.fmu.Unlock()
+	if res != nil {
+		cur.res, cur.ok = res, true
+	}
+	close(cur.done)
+}
+
+// Publish ends key's flight with res, handing it to every waiter now
+// rather than when the leader's Do or BeginFlights claim unwinds. The
+// runner publishes each computed result right after persisting it, so a
+// shared result is always already in the store. Publishing a key with no
+// flight is a no-op.
+func (s *Store) Publish(key string, res *sim.Result) {
+	if s == nil || res == nil {
+		return
+	}
+	s.land(key, nil, res)
 }
 
 // BeginFlights claims leadership of every key not already in flight, in
@@ -110,13 +143,14 @@ func (s *Store) Do(ctx context.Context, key string, compute func() (*sim.Result,
 // execute claims its points so concurrent campaigns running the same
 // configs wait instead of recomputing, and points another campaign
 // already claimed are reported unclaimed so the caller can defer them
-// to a waiting path. The returned finish must be called exactly once
-// (deferred, so a panicking group still releases its waiters): claimed
-// keys present in results are published to their waiters, the rest wake
-// into their own attempts. On a nil store nothing is claimed.
-func (s *Store) BeginFlights(keys []string) (claimed map[string]bool, finish func(results map[string]*sim.Result)) {
+// to a waiting path. Each claimed key's result is handed over with
+// Publish; the returned release must be called exactly once (deferred,
+// so a panicking group still releases its waiters) and wakes the
+// waiters of every claimed key not published into their own attempts.
+// On a nil store nothing is claimed.
+func (s *Store) BeginFlights(keys []string) (claimed map[string]bool, release func()) {
 	if s == nil {
-		return nil, func(map[string]*sim.Result) {}
+		return nil, func() {}
 	}
 	claimed = make(map[string]bool, len(keys))
 	var ck []string
@@ -137,22 +171,14 @@ func (s *Store) BeginFlights(keys []string) (claimed map[string]bool, finish fun
 	}
 	s.fmu.Unlock()
 	var once sync.Once
-	finish = func(results map[string]*sim.Result) {
+	release = func() {
 		once.Do(func() {
-			s.fmu.Lock()
-			for _, k := range ck {
-				delete(s.flights, k)
-			}
-			s.fmu.Unlock()
 			for j, f := range fl {
-				if res, ok := results[ck[j]]; ok && res != nil {
-					f.res, f.ok = res, true
-				}
-				close(f.done)
+				s.land(ck[j], f, nil)
 			}
 		})
 	}
-	return claimed, finish
+	return claimed, release
 }
 
 // InFlight reports whether key currently has a leader computing it.

@@ -541,3 +541,74 @@ func TestFingerprintIsGenerated(t *testing.T) {
 		t.Fatal("fingerprint_gen.go still holds the bootstrap placeholder; run go generate ./internal/store")
 	}
 }
+
+// TestSingleFlightPublishBeforeLeaderReturns checks Publish hands a
+// flight's result to its waiter while the leader is still inside its
+// compute, that the leader's own unwind and a repeated Publish are then
+// no-ops, and that a BeginFlights release wakes only the waiters of the
+// keys nobody published.
+func TestSingleFlightPublishBeforeLeaderReturns(t *testing.T) {
+	s := openT(t, Options{Dir: t.TempDir(), Fingerprint: "sim-test"})
+	var parked atomic.Int64
+	testWaitHook = func() { parked.Add(1) }
+	defer func() { testWaitHook = nil }()
+
+	waiter := func(key string) <-chan Via {
+		got := make(chan Via, 1)
+		go func() {
+			res, via, err := s.Do(context.Background(), key, func() (*sim.Result, error) {
+				return fakeResult(9), nil
+			})
+			if err != nil || res == nil {
+				t.Errorf("waiter on %s: res=%v err=%v", key, res, err)
+			}
+			got <- via
+		}()
+		return got
+	}
+
+	published := make(chan struct{})
+	leaderDone := make(chan struct{})
+	go func() {
+		defer close(leaderDone)
+		s.Do(context.Background(), fakeKey(1), func() (*sim.Result, error) {
+			for parked.Load() < 1 {
+				runtime.Gosched()
+			}
+			s.Publish(fakeKey(1), fakeResult(1))
+			<-published // still computing when the waiter wakes
+			s.Publish(fakeKey(1), fakeResult(2))
+			return fakeResult(1), nil
+		})
+	}()
+	for !s.InFlight(fakeKey(1)) {
+		runtime.Gosched()
+	}
+	if via := <-waiter(fakeKey(1)); via != ViaFlight {
+		t.Fatalf("waiter via %d, want ViaFlight", via)
+	}
+	if s.InFlight(fakeKey(1)) {
+		t.Fatal("published flight still in flight")
+	}
+	close(published)
+	<-leaderDone
+
+	parked.Store(0)
+	claimed, release := s.BeginFlights([]string{fakeKey(2), fakeKey(3)})
+	if !claimed[fakeKey(2)] || !claimed[fakeKey(3)] {
+		t.Fatalf("claimed = %v, want both keys", claimed)
+	}
+	got2, got3 := waiter(fakeKey(2)), waiter(fakeKey(3))
+	for parked.Load() < 2 {
+		runtime.Gosched()
+	}
+	s.Publish(fakeKey(2), fakeResult(2))
+	if via := <-got2; via != ViaFlight {
+		t.Errorf("published key's waiter via %d, want ViaFlight", via)
+	}
+	release()
+	if via := <-got3; via != ViaCompute {
+		t.Errorf("unpublished key's waiter via %d, want ViaCompute (it leads its own attempt)", via)
+	}
+	release() // once-guarded
+}

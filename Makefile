@@ -50,7 +50,10 @@ race:
 		./internal/cache/... ./internal/replacement/... ./internal/recycle/...
 
 # Chaos suite: the fault-injection matrix, the randomized crash-recovery
-# property test and the durability tests, race-enabled. Asserts every
+# property tests, the fuzzed corruption contract of the result store's
+# segment scan (FuzzLoadJournal's seeds) and the durability tests (a
+# result is stored before it is streamed; a finished stream whose
+# results were evicted answers 410), race-enabled. Asserts every
 # injected fault yields a clean typed error or a correct degraded result
 # — never a corrupt store or a silently wrong answer. Packages run one at
 # a time (-p 1): several chaos tests hold a run to a wall-clock deadline
@@ -59,7 +62,7 @@ race:
 # fraction of the CPU that deadline assumes.
 chaos:
 	$(GO) test -race -count=1 -p 1 \
-		-run 'Chaos|Watchdog|Backoff|Compact|Corrupt|Evict|SourceSite|FuzzLoadJournal|TestFault|TestParse|TestApply|TornTail' \
+		-run 'Chaos|Watchdog|Backoff|Compact|Corrupt|Evict|SourceSite|FuzzLoadJournal|StoredBefore|StreamGone|TestFault|TestParse|TestApply|TornTail' \
 		./internal/fault/... ./internal/runner/... ./internal/replay/... \
 		./internal/server/... ./internal/store/...
 

@@ -2,9 +2,9 @@
 // daemon that accepts sweep submissions from many tenants, runs them on
 // one shared worker pool under weighted fair scheduling, admission
 // control and per-tenant quotas, streams per-run results as NDJSON, and
-// checkpoints every completed run to a durable journal — kill -9 the
-// process at any instant and the next start resumes every unfinished
-// campaign exactly where it stopped.
+// stores every completed run in its result store before streaming it —
+// kill -9 the process at any instant and the next start resumes every
+// unfinished campaign exactly where it stopped.
 //
 // Usage:
 //
@@ -13,7 +13,7 @@
 //	curl localhost:8322/v1/campaigns/<id>/results
 //
 // SIGTERM drains gracefully: admission stops (503), queued runs are
-// shed back to their journals, in-flight runs finish and checkpoint,
+// shed back to their campaigns, in-flight runs finish and are stored,
 // then the process exits; the shed runs resume on the next start.
 package main
 

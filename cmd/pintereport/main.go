@@ -26,7 +26,6 @@ import (
 	"repro/internal/expt"
 	"repro/internal/fault"
 	"repro/internal/report"
-	"repro/internal/runner"
 	"repro/internal/sim"
 )
 
@@ -40,21 +39,12 @@ func main() {
 		csvDir   = flag.String("csv", "", "also write each table as CSV into this directory")
 		workers  = flag.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)")
 		listOnly = flag.Bool("list", false, "list experiment ids and exit")
-		compact  = flag.String("journal-compact", "", "compact this resume journal in place (drop corrupt lines and superseded entries) and exit")
 	)
 	chaos := fault.Flag(nil)
 	flag.Parse()
 
 	if err := fault.Apply(*chaos); err != nil {
 		log.Fatal(err)
-	}
-	if *compact != "" {
-		st, err := runner.CompactJournal(*compact)
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("%s", st)
-		return
 	}
 	if *listOnly {
 		for _, id := range expt.IDs() {

@@ -1,15 +1,15 @@
 // Command pintesim runs a single simulation and prints its metrics.
 //
 // SIGINT/SIGTERM cancels the run; -timeout bounds its wall-clock time.
-// With -resume, the run is checkpointed to (and, when already present,
-// recalled from) a JSONL journal shared with pintesweep.
+// With -result-store, the run is stored in (and, when already present,
+// recalled from) a result store shared with pintesweep and pinted.
 //
 // Usage:
 //
 //	pintesim -workload 450.soplex
 //	pintesim -workload 450.soplex -mode pinte -pinduce 0.3
 //	pintesim -workload 450.soplex -mode 2nd-trace -adversary 470.lbm
-//	pintesim -workload 450.soplex -timeout 2m -resume runs.journal
+//	pintesim -workload 450.soplex -timeout 2m -result-store runs.store
 //	pintesim -list
 package main
 
@@ -33,9 +33,10 @@ import (
 	"repro/internal/trace"
 )
 
-// openResultStore opens the -result-store directory, or returns nil (no
-// caching) when the flag is empty. A malformed flag is a usage error; an
-// unusable directory is a degradation — the run executes uncached.
+// openResultStore opens the -result-store directory, or returns nil
+// when the flag is empty. The store is the run's durable record, so a
+// malformed flag or an unusable directory is fatal rather than a run
+// that silently goes unrecorded.
 func openResultStore(spec string) *store.Store {
 	if spec == "" {
 		return nil
@@ -46,8 +47,7 @@ func openResultStore(spec string) *store.Store {
 	}
 	st, err := store.Open(store.Options{Dir: dir, BudgetBytes: budget, Logf: log.Printf})
 	if err != nil {
-		log.Printf("result store unavailable, running uncached: %v", err)
-		return nil
+		log.Fatal(err)
 	}
 	return st
 }
@@ -76,8 +76,6 @@ func main() {
 		retries   = flag.Int("retries", 0, "retries if the run panics, times out or stalls (seed is perturbed)")
 		backoff   = flag.Duration("backoff", 0, "base delay before each retry, doubled per attempt with jitter (0 = retry immediately)")
 		stall     = flag.Duration("stall-grace", 0, "abandon the run this long after its deadline if it ignores cancellation (0 = wait forever)")
-		resume    = flag.String("resume", "", "JSONL journal path: recall the run if journaled, checkpoint it otherwise")
-		compact   = flag.String("journal-compact", "", "compact this resume journal in place (drop corrupt lines and superseded entries) and exit")
 		replayMiB = flag.Int64("replay-cache", 0, "record/replay stream cache budget in MiB (0 = off); a single run only benefits when a co-runner rewinds, but the flag keeps pintesim flag-compatible with pintesweep")
 		resStore  = flag.String("result-store", "", "durable cross-campaign result store: dir[,MiB budget]; a config already simulated by ANY past run of ANY binary sharing the directory is served from it instead of re-simulated (empty = off)")
 	)
@@ -87,14 +85,6 @@ func main() {
 
 	if err := fault.Apply(*chaos); err != nil {
 		log.Fatal(err)
-	}
-	if *compact != "" {
-		st, err := runner.CompactJournal(*compact)
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("%s", st)
-		return
 	}
 	if *list {
 		for _, n := range trace.Names() {
@@ -162,7 +152,6 @@ func main() {
 		Retries:    *retries,
 		Backoff:    *backoff,
 		StallGrace: *stall,
-		Journal:    *resume,
 		Logf:       log.Printf,
 		Streams:    streams,
 		Store:      resultStore,
@@ -181,15 +170,12 @@ func main() {
 		}
 		log.Fatal(f)
 	}
-	// A journal-only failure still produced a result; report it below
-	// after warning that the checkpoint was lost.
-	for _, f := range out.JournalFailures() {
-		log.Printf("warning: %v (result shown below was not checkpointed)", f)
+	// A record-only failure still produced a result; report it below
+	// after warning that storing it failed.
+	for _, f := range out.RecordFailures() {
+		log.Printf("warning: %v (result shown below was not stored)", f)
 	}
 	res := out.Results[0]
-	if out.FromJournal > 0 {
-		fmt.Printf("(recalled from journal %s; wall time below is the original run's)\n", *resume)
-	}
 	if out.FromStore > 0 {
 		fmt.Printf("(served from result store %s; wall time below is the original run's)\n", *resStore)
 	}

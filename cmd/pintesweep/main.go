@@ -5,9 +5,10 @@
 // The sweep is fault tolerant: a run that fails (bad config, panic,
 // per-run timeout) costs only its own row — every completed point is
 // still emitted and the failures are reported on stderr with a non-zero
-// exit. SIGINT/SIGTERM cancels the campaign cleanly. With -resume, each
-// completed run is checkpointed to a JSONL journal and an interrupted
-// sweep picks up where it left off, re-running only the missing configs.
+// exit. SIGINT/SIGTERM cancels the campaign cleanly. With -result-store,
+// each completed run is stored before it is reported, and rerunning the
+// same command picks an interrupted sweep up where it left off,
+// re-running only the missing configs.
 //
 // With -progress the campaign logs periodic heartbeats (completed,
 // failed, run rate, ETA) to stderr; the same live snapshot is served as
@@ -17,7 +18,7 @@
 //
 //	pintesweep -workloads 450.soplex,433.milc
 //	pintesweep -workloads all -points 0.01,0.1,0.5 > sweep.csv
-//	pintesweep -workloads all -resume sweep.journal -timeout 5m > sweep.csv
+//	pintesweep -workloads all -result-store sweep.store -timeout 5m > sweep.csv
 //	pintesweep -workloads all -progress -debug localhost:6060 > sweep.csv
 package main
 
@@ -45,10 +46,10 @@ import (
 	"repro/internal/trace"
 )
 
-// openResultStore opens the -result-store directory, or returns nil (no
-// caching) when the flag is empty. A malformed flag is a usage error; an
-// unusable directory is a degradation — the sweep runs uncached rather
-// than failing before it starts.
+// openResultStore opens the -result-store directory, or returns nil
+// when the flag is empty. The store is the sweep's durable record, so a
+// malformed flag or an unusable directory is fatal rather than a sweep
+// that silently goes unrecorded.
 func openResultStore(spec string) *store.Store {
 	if spec == "" {
 		return nil
@@ -59,8 +60,7 @@ func openResultStore(spec string) *store.Store {
 	}
 	st, err := store.Open(store.Options{Dir: dir, BudgetBytes: budget, Logf: log.Printf})
 	if err != nil {
-		log.Printf("result store unavailable, running uncached: %v", err)
-		return nil
+		log.Fatal(err)
 	}
 	s := st.Stats()
 	log.Printf("result store %s: %d entries under %s (%d bytes)", dir, s.Entries, s.Fingerprint, s.Bytes)
@@ -82,8 +82,6 @@ func main() {
 		retries   = flag.Int("retries", 0, "retries for runs that panic, time out or stall (seed is perturbed)")
 		backoff   = flag.Duration("backoff", 0, "base delay before each retry, doubled per attempt with jitter (0 = retry immediately)")
 		stall     = flag.Duration("stall-grace", 0, "abandon a run this long after its deadline if it ignores cancellation (0 = wait forever)")
-		resume    = flag.String("resume", "", "JSONL journal path: checkpoint completed runs and skip them on restart")
-		compact   = flag.String("journal-compact", "", "compact this resume journal in place (drop corrupt lines and superseded entries) and exit")
 		progress  = flag.Bool("progress", false, "log periodic campaign heartbeats (completed/failed/rate/ETA) to stderr")
 		progEvery = flag.Duration("progress-every", 2*time.Second, "heartbeat period when -progress is set")
 		replayMiB = flag.Int64("replay-cache", 0, "record/replay stream cache budget in MiB: each workload stream is generated once and replayed across all its sweep points (0 = off, regenerate per run)")
@@ -97,14 +95,6 @@ func main() {
 
 	if err := fault.Apply(*chaos); err != nil {
 		log.Fatal(err)
-	}
-	if *compact != "" {
-		st, err := runner.CompactJournal(*compact)
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("%s", st)
-		return
 	}
 	if *workloads == "" {
 		log.Fatal("missing -workloads (comma-separated, or \"all\")")
@@ -129,7 +119,7 @@ func main() {
 
 	// Isolation baselines first, then the sweep grid — via the shared
 	// campaign spec, so the CLI and the pinted service expand the exact
-	// same submission to the exact same config list (and journal keys).
+	// same submission to the exact same config list (and store keys).
 	spec := server.SweepSpec{
 		Workloads: names, Points: sweep,
 		WarmupInstrs: *warmup, ROIInstrs: *roi, Seed: *seed,
@@ -158,7 +148,6 @@ func main() {
 		Retries:    *retries,
 		Backoff:    *backoff,
 		StallGrace: *stall,
-		Journal:    *resume,
 		Logf:       log.Printf,
 		Progress:   heartbeat,
 		Streams:    streams,
@@ -176,7 +165,7 @@ func main() {
 		log.Print(perr) // profile flush failure shouldn't mask the sweep's outcome
 	}
 	if err != nil {
-		log.Fatal(err) // campaign-level fault (unusable journal)
+		log.Fatal(err) // campaign-level fault
 	}
 	if streamCache != nil && *progress {
 		log.Printf("%s", streamCache.Snapshot())
@@ -252,24 +241,24 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Journal-only failures kept their results (rows above are complete);
+	// Record-only failures kept their results (rows above are complete);
 	// warn but don't fail the sweep. Hard failures cost rows: exit 1.
-	if jf := out.JournalFailures(); len(jf) > 0 {
-		log.Printf("warning: %d results were computed but could not be journaled; "+
-			"the CSV is complete but -resume would re-run them", len(jf))
-		for _, f := range jf {
+	if rf := out.RecordFailures(); len(rf) > 0 {
+		log.Printf("warning: %d results were computed but could not be stored; "+
+			"the CSV is complete but a rerun would compute them again", len(rf))
+		for _, f := range rf {
 			log.Printf("  %v", f)
 		}
 	}
 	if hard := out.HardFailures(); len(hard) > 0 {
-		log.Printf("%d of %d runs failed (%d rows emitted, %d resumed from journal, wall %s):",
-			len(hard), len(cfgs), emitted, out.FromJournal,
+		log.Printf("%d of %d runs failed (%d rows emitted, %d served from the store, wall %s):",
+			len(hard), len(cfgs), emitted, out.FromStore,
 			time.Since(start).Round(time.Millisecond))
 		for _, f := range hard {
 			log.Printf("  %v", f)
 		}
-		if *resume != "" {
-			log.Printf("completed runs are journaled; rerun with -resume %s to finish the sweep", *resume)
+		if resultStore != nil {
+			log.Printf("completed runs are stored; rerun the same command to finish the sweep")
 		}
 		os.Exit(1)
 	}

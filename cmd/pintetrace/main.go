@@ -1,11 +1,11 @@
 // Command pintetrace generates, inspects and converts instruction
-// traces, and compacts campaign resume journals.
+// traces, and verifies result stores against live simulation.
 //
 //	pintetrace gen -workload 429.mcf -n 1000000 -o mcf.trc.gz
 //	pintetrace info mcf.trc.gz
 //	pintetrace convert -to champsim mcf.trc.gz mcf.champsim
 //	pintetrace convert -from champsim mcf.champsim mcf.trc.gz
-//	pintetrace compact sweep.journal
+//	pintetrace store-verify -store results
 package main
 
 import (
@@ -19,7 +19,6 @@ import (
 	"syscall"
 
 	"repro/internal/fault"
-	"repro/internal/runner"
 	"repro/internal/trace"
 )
 
@@ -40,8 +39,6 @@ func main() {
 		cmdInfo(ctx, os.Args[2:])
 	case "convert":
 		cmdConvert(ctx, os.Args[2:])
-	case "compact":
-		cmdCompact(os.Args[2:])
 	case "store-verify":
 		cmdStoreVerify(ctx, os.Args[2:])
 	default:
@@ -79,28 +76,8 @@ func usage() {
   pintetrace info <file>
   pintetrace convert -to champsim <in.trc[.gz]> <out>
   pintetrace convert -from champsim <in> <out.trc[.gz]>
-  pintetrace compact <journal>
   pintetrace store-verify [-store <dir[,MiB]>] [-sample N] [-seed S] [-goldens <dir>]`)
 	os.Exit(2)
-}
-
-// cmdCompact rewrites a campaign resume journal atomically, dropping
-// corrupt lines and superseded duplicate entries.
-func cmdCompact(args []string) {
-	fs := flag.NewFlagSet("compact", flag.ExitOnError)
-	chaos := fault.Flag(fs)
-	fs.Parse(args)
-	if err := fault.Apply(*chaos); err != nil {
-		log.Fatal(err)
-	}
-	if len(fs.Args()) != 1 {
-		usage()
-	}
-	st, err := runner.CompactJournal(fs.Args()[0])
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println(st)
 }
 
 func cmdGen(ctx context.Context, args []string) {

@@ -28,7 +28,8 @@ import (
 //
 //   - store (-store <dir[,MiB]>): sample entries from a live store
 //     (deterministically, under -seed), re-run each entry's embedded
-//     config through the simulator, and compare WallTime-zeroed bytes.
+//     config — through the simulator, or for a phase-sampled result
+//     through a sampled campaign — and compare WallTime-zeroed bytes.
 //     Each sampled entry's key is also recomputed from its config: a
 //     mismatch means the store is serving a result under the wrong
 //     address, which no amount of byte equality excuses.
@@ -140,12 +141,12 @@ func verifyStore(ctx context.Context, spec string, sample int, seed uint64) (fai
 			log.Printf("FAIL store %s: cached config is unhashable: %v", key[:12], err)
 			continue
 		}
-		if wantKey != key {
+		if wantKey = runner.RecordKey(wantKey, res); wantKey != key {
 			failures++
 			log.Printf("FAIL store %s: entry filed under wrong key (config hashes to %s)", key[:12], wantKey[:12])
 			continue
 		}
-		live, err := sim.RunContext(ctx, res.Config)
+		live, err := resimulate(ctx, res)
 		if err != nil {
 			failures++
 			log.Printf("FAIL store %s: cached config no longer runs: %v", key[:12], err)
@@ -169,4 +170,22 @@ func verifyStore(ctx context.Context, spec string, sample int, seed uint64) (fai
 	}
 	fmt.Printf("store %s: %d of %d entries verified under %s\n", dir, len(keys), stats.Entries, stats.Fingerprint)
 	return failures
+}
+
+// resimulate recomputes a stored result live: a full-fidelity one
+// through the simulator, a phase-sampled one through a sampled campaign
+// of its config alone — its plan depends only on the config's profile,
+// so it is the plan the campaign that stored it used.
+func resimulate(ctx context.Context, res *sim.Result) (*sim.Result, error) {
+	if res.Sampled == nil {
+		return sim.RunContext(ctx, res.Config)
+	}
+	out, err := runner.New(runner.Options{Workers: 1, Sample: true}).RunAll(ctx, []sim.Config{res.Config})
+	if err != nil {
+		return nil, err
+	}
+	if err := out.Err(); err != nil {
+		return nil, err
+	}
+	return out.Results[0], nil
 }

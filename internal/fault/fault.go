@@ -1,6 +1,6 @@
 // Package fault is a deterministic fault-injection framework for the
 // persistence and execution stack. Production code marks each place a
-// real-world failure can strike — a journal append, a replay-arena
+// real-world failure can strike — a result-store append, a replay-arena
 // decode, a worker execution — with a named site check; the chaos test
 // suite (and the binaries' -chaos flag) arms sites with seeded trigger
 // schedules and asserts the system degrades instead of corrupting.
@@ -38,13 +38,6 @@ import (
 // Site names threaded through the stack. A site string is free-form —
 // these constants just keep call sites and tests in one vocabulary.
 const (
-	// Journal (internal/runner): durable-store faults.
-	SiteJournalOpen          = "journal.open"           // open/create of the journal file fails
-	SiteJournalAppend        = "journal.append"         // append fails before any byte is written
-	SiteJournalAppendPartial = "journal.append.partial" // append dies mid-line (simulated crash)
-	SiteJournalCompactWrite  = "journal.compact.write"  // compaction temp-file write fails
-	SiteJournalCompactRename = "journal.compact.rename" // compaction atomic rename fails
-
 	// Replay cache (internal/replay): arena and pool faults.
 	SiteReplaySource  = "replay.source"  // stream acquisition fails (generator build)
 	SiteReplayCorrupt = "replay.corrupt" // a sealed arena chunk rots after its checksum
@@ -59,11 +52,13 @@ const (
 	SiteWorkerHang  = "worker.hang"  // the run blocks, ignoring its context
 	SiteWorkerSlow  = "worker.slow"  // the run stalls for Spec.Delay first
 
-	// Result store (internal/store): content-addressed cache faults.
-	// All three degrade to compute-without-cache, never a failed run.
-	SiteStoreOpen   = "store.open"   // store open/segment scan fails
-	SiteStoreAppend = "store.append" // a result append fails
-	SiteStoreRead   = "store.read"   // a hit read-back fails
+	// Result store (internal/store): the durable result record. None
+	// fails a run: a lost append keeps the result and is reported as a
+	// record-only failure, a failed read recomputes.
+	SiteStoreOpen          = "store.open"           // store open/segment scan fails
+	SiteStoreAppend        = "store.append"         // an append fails before any byte is written
+	SiteStoreAppendPartial = "store.append.partial" // an append dies mid-record (simulated crash)
+	SiteStoreRead          = "store.read"           // a hit read-back fails
 
 	// Campaign service (internal/server): service-layer faults.
 	SiteServerAdmit       = "server.admit"        // the admission check dies before reaching a verdict
@@ -215,7 +210,7 @@ func Fires(site string) bool {
 // Err returns an injected error wrapping ErrInjected when site fires,
 // nil otherwise. The standard shape for error-path sites:
 //
-//	if err := fault.Err(fault.SiteJournalOpen); err != nil { return err }
+//	if err := fault.Err(fault.SiteStoreOpen); err != nil { return err }
 func Err(site string) error {
 	if !enabled.Load() {
 		return nil
@@ -291,7 +286,7 @@ func Summary() string {
 
 // Parse decodes a -chaos specification of the form
 //
-//	seed=42;journal.append:p=0.01;worker.panic:every=7,after=3,limit=1;worker.slow:delay=50ms,p=1
+//	seed=42;store.append:p=0.01;worker.panic:every=7,after=3,limit=1;worker.slow:delay=50ms,p=1
 //
 // into a seed and per-site Specs. The seed clause is optional (default
 // 1). Returns an error naming the first malformed clause.

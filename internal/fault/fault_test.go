@@ -20,11 +20,11 @@ func TestDisabledNeverFiresAndAllocatesNothing(t *testing.T) {
 	if Enabled() {
 		t.Fatal("freshly disabled framework reports enabled")
 	}
-	if Fires(SiteJournalAppend) || Err(SiteJournalAppend) != nil || Delay(SiteWorkerSlow) != 0 {
+	if Fires(SiteStoreAppend) || Err(SiteStoreAppend) != nil || Delay(SiteWorkerSlow) != 0 {
 		t.Fatal("disabled framework injected")
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
-		if Fires(SiteJournalAppend) {
+		if Fires(SiteStoreAppend) {
 			t.Error("fired while disabled")
 		}
 		if Err(SiteReplaySource) != nil {
@@ -51,10 +51,10 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	pattern := func(seed uint64) []bool {
 		Enable(seed)
 		defer Disable()
-		Set(SiteJournalAppend, Spec{Prob: 0.3})
+		Set(SiteStoreAppend, Spec{Prob: 0.3})
 		out := make([]bool, 200)
 		for i := range out {
-			out[i] = Fires(SiteJournalAppend)
+			out[i] = Fires(SiteStoreAppend)
 		}
 		return out
 	}
@@ -154,16 +154,16 @@ func TestHangReleasedByDisable(t *testing.T) {
 }
 
 func TestParseAndApply(t *testing.T) {
-	seed, specs, err := Parse("seed=42; journal.append:p=0.25,limit=3 ;worker.slow:delay=50ms,every=2,after=1")
+	seed, specs, err := Parse("seed=42; store.append:p=0.25,limit=3 ;worker.slow:delay=50ms,every=2,after=1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if seed != 42 {
 		t.Fatalf("seed = %d, want 42", seed)
 	}
-	ja := specs["journal.append"]
-	if ja.Prob != 0.25 || ja.Limit != 3 {
-		t.Fatalf("journal.append spec = %+v", ja)
+	sa := specs["store.append"]
+	if sa.Prob != 0.25 || sa.Limit != 3 {
+		t.Fatalf("store.append spec = %+v", sa)
 	}
 	ws := specs["worker.slow"]
 	if ws.Delay != 50*time.Millisecond || ws.Every != 2 || ws.After != 1 {

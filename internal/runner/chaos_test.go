@@ -15,11 +15,12 @@ import (
 	"repro/internal/fault"
 	"repro/internal/replay"
 	"repro/internal/sim"
+	"repro/internal/store"
 	"repro/internal/telemetry"
 )
 
 // fakeRun returns a deterministic run function whose result is a pure
-// function of the config, counting invocations — the journal and resume
+// function of the config, counting invocations — the store and resume
 // machinery under test cannot tell it from a real simulation.
 func fakeRun(calls *atomic.Int64) func(context.Context, sim.Config) (*sim.Result, error) {
 	return func(_ context.Context, cfg sim.Config) (*sim.Result, error) {
@@ -34,12 +35,29 @@ func fakeRun(calls *atomic.Int64) func(context.Context, sim.Config) (*sim.Result
 	}
 }
 
+// segmentOf returns the bytes of the one segment a small store holds.
+func segmentOf(t testing.TB, dir string) []byte {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.seg"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("store %s holds segments %v (%v), want one", dir, segs, err)
+	}
+	data, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 // TestChaosCrashRecoveryProperty is the randomized crash-recovery
-// property test: a campaign's journal is cut at fuzzed byte offsets —
-// simulating a kill at any instant of an append — and every resume must
-// (a) produce results identical to the uninterrupted campaign, (b)
-// re-execute exactly the runs whose journal lines the cut destroyed, and
-// (c) leave a journal that loads completely and cleanly.
+// property test of the campaign's durable record, the result store. A
+// kill at any instant of an append is simulated two ways: a finished
+// store's segment is cut at fuzzed byte offsets, and the
+// store.append.partial site tears a fuzzed one of a live campaign's
+// appends. Every resume must (a) produce results identical to the
+// uninterrupted campaign, (b) re-execute exactly the runs whose records
+// the crash destroyed, and (c) leave a store that reopens clean, with
+// every result in it.
 func TestChaosCrashRecoveryProperty(t *testing.T) {
 	cfgs := make([]sim.Config, 6)
 	for i := range cfgs {
@@ -55,8 +73,9 @@ func TestChaosCrashRecoveryProperty(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	golden := filepath.Join(dir, "golden.journal")
-	o := New(Options{Workers: 2, Journal: golden})
+	golden := filepath.Join(dir, "golden")
+	st := openStore(t, golden, "sim-test")
+	o := New(Options{Workers: 2, Store: st})
 	o.run = fakeRun(nil)
 	out, err := o.RunAll(context.Background(), cfgs)
 	if err != nil || len(out.Failures) != 0 {
@@ -66,53 +85,89 @@ func TestChaosCrashRecoveryProperty(t *testing.T) {
 	for i, r := range out.Results {
 		ref[i] = fingerprint(r)
 	}
-	data, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
+	st.Close()
+	data := segmentOf(t, golden)
+
+	// resume reruns the campaign over the store in sdir: opening it must
+	// trim `torn` torn tails, and the campaign must re-execute want runs.
+	resume := func(name, sdir string, want, torn int64) {
+		t.Helper()
+		before := telemetry.StoreSnapshot()
+		st := openStore(t, sdir, "sim-test")
+		if d := telemetry.StoreSnapshot()["torn_tails"] - before["torn_tails"]; d != torn {
+			t.Fatalf("%s: open trimmed %d torn tails, want %d", name, d, torn)
+		}
+		var calls atomic.Int64
+		o := New(Options{Workers: 2, Store: st})
+		o.run = fakeRun(&calls)
+		out, err := o.RunAll(context.Background(), cfgs)
+		if err != nil || len(out.Failures) != 0 {
+			t.Fatalf("%s: resume: err=%v failures=%v", name, err, out.Failures)
+		}
+		for i, r := range out.Results {
+			if fingerprint(r) != ref[i] {
+				t.Fatalf("%s: result %d diverged after resume", name, i)
+			}
+		}
+		if calls.Load() != want {
+			t.Fatalf("%s: resume re-ran %d runs, want %d", name, calls.Load(), want)
+		}
+		st.Close()
+
+		// The resumed store must be whole: every key present and
+		// correct, nothing corrupt and nothing left to trim.
+		before = telemetry.StoreSnapshot()
+		st = openStore(t, sdir, "sim-test")
+		after := telemetry.StoreSnapshot()
+		if after["torn_tails"] != before["torn_tails"] || after["corrupt_records"] != before["corrupt_records"] {
+			t.Fatalf("%s: store dirty after resume", name)
+		}
+		for i, k := range keys {
+			if res, ok := st.Peek(k); !ok || fingerprint(res) != ref[i] {
+				t.Fatalf("%s: stored result %d missing or wrong after resume", name, i)
+			}
+		}
+		st.Close()
 	}
 
 	rng := rand.New(rand.NewSource(7))
 	for iter := 0; iter < 16; iter++ {
 		cut := 1 + rng.Intn(len(data)-1)
-		path := filepath.Join(dir, fmt.Sprintf("cut%d.journal", iter))
-		if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
+		sdir := filepath.Join(dir, fmt.Sprintf("cut%d", iter))
+		if err := os.MkdirAll(sdir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(sdir, "seg-00000001.seg"), data[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
 		intact := int64(bytes.Count(data[:cut], []byte{'\n'}))
-
-		var calls atomic.Int64
-		o := New(Options{Workers: 2, Journal: path})
-		o.run = fakeRun(&calls)
-		out, err := o.RunAll(context.Background(), cfgs)
-		if err != nil {
-			t.Fatalf("cut=%d: resume failed: %v", cut, err)
+		var torn int64
+		if data[cut-1] != '\n' {
+			torn = 1
 		}
-		if len(out.Failures) != 0 {
-			t.Fatalf("cut=%d: resume reported failures: %v", cut, out.Failures)
+		resume(fmt.Sprintf("cut=%d", cut), sdir, int64(len(cfgs))-intact, torn)
+	}
+
+	for iter := 0; iter < 4; iter++ {
+		k := rng.Intn(len(cfgs))
+		sdir := filepath.Join(dir, fmt.Sprintf("torn%d", iter))
+		fault.Enable(uint64(iter))
+		fault.Set(fault.SiteStoreAppendPartial, fault.Spec{Every: 1, After: uint64(k), Limit: 1})
+		st := openStore(t, sdir, "sim-test")
+		o := New(Options{Workers: 2, Store: st})
+		o.run = fakeRun(nil)
+		out, err := o.RunAll(context.Background(), cfgs)
+		fault.Disable()
+		if err != nil || len(out.HardFailures()) != 0 || len(out.RecordFailures()) != 1 {
+			t.Fatalf("append %d torn: err=%v failures=%v, want one record-only failure", k, err, out.Failures)
 		}
 		for i, r := range out.Results {
-			if fingerprint(r) != ref[i] {
-				t.Fatalf("cut=%d: result %d diverged after resume", cut, i)
+			if r == nil || fingerprint(r) != ref[i] {
+				t.Fatalf("append %d torn: result %d lost or wrong in the live campaign", k, i)
 			}
 		}
-		if want := int64(len(cfgs)) - intact; calls.Load() != want {
-			t.Fatalf("cut=%d: resume re-ran %d runs, want %d (journal had %d intact lines)",
-				cut, calls.Load(), want, intact)
-		}
-		// The resumed journal must be whole: every key present, correct,
-		// and not one line skipped as corrupt.
-		done, st, err := LoadJournal(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Skipped != 0 || st.TruncatedTail {
-			t.Fatalf("cut=%d: journal dirty after resume: %+v", cut, st)
-		}
-		for i, k := range keys {
-			if done[k] == nil || fingerprint(done[k]) != ref[i] {
-				t.Fatalf("cut=%d: journaled result %d missing or wrong after resume", cut, i)
-			}
-		}
+		st.Close()
+		resume(fmt.Sprintf("append %d torn", k), sdir, 1, 1)
 	}
 }
 
@@ -140,15 +195,15 @@ func TestChaosInjectionMatrix(t *testing.T) {
 	}
 
 	cases := []struct {
-		name            string
-		spec            string
-		journal, cache  bool
-		timeout, grace  time.Duration
-		wantCampaignErr bool
+		name           string
+		spec           string
+		store, cache   bool
+		timeout, grace time.Duration
+		wantOpenErr    bool
 	}{
-		{name: "journal-open", spec: "journal.open:every=1,limit=1", journal: true, wantCampaignErr: true},
-		{name: "journal-append", spec: "journal.append:every=1,limit=1", journal: true},
-		{name: "journal-append-partial", spec: "journal.append.partial:every=1,limit=1", journal: true},
+		{name: "store-open", spec: "store.open:every=1,limit=1", store: true, wantOpenErr: true},
+		{name: "store-append", spec: "store.append:every=1,limit=1", store: true},
+		{name: "store-append-partial", spec: "store.append.partial:every=1,limit=1", store: true},
 		{name: "replay-source", spec: "replay.source:every=1,limit=1", cache: true},
 		{name: "replay-corrupt", spec: "replay.corrupt:every=1,limit=1", cache: true},
 		{name: "replay-evict", spec: "replay.evict:every=2", cache: true},
@@ -165,19 +220,27 @@ func TestChaosInjectionMatrix(t *testing.T) {
 			}
 			defer fault.Disable()
 			opts := Options{Workers: 2, Timeout: tc.timeout, StallGrace: tc.grace}
-			if tc.journal {
-				opts.Journal = filepath.Join(t.TempDir(), "m.journal")
+			if tc.store {
+				// The store is the campaign's durable record: a store
+				// that will not open refuses the campaign with a typed
+				// error rather than running it unrecorded.
+				st, err := store.Open(store.Options{Dir: t.TempDir(), Fingerprint: "sim-test"})
+				if tc.wantOpenErr {
+					if !errors.Is(err, fault.ErrInjected) {
+						t.Fatalf("store open error = %v, want fault.ErrInjected", err)
+					}
+					return
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer st.Close()
+				opts.Store = st
 			}
 			if tc.cache {
 				opts.Streams = replay.NewCache(64 << 20)
 			}
 			out, err := New(opts).RunAll(context.Background(), cfgs)
-			if tc.wantCampaignErr {
-				if !errors.Is(err, fault.ErrInjected) {
-					t.Fatalf("campaign error = %v, want fault.ErrInjected", err)
-				}
-				return
-			}
 			if err != nil {
 				t.Fatalf("campaign-level error: %v", err)
 			}
@@ -190,7 +253,7 @@ func TestChaosInjectionMatrix(t *testing.T) {
 				}
 				found := false
 				for _, f := range out.Failures {
-					if f.Index == i && !f.JournalOnly {
+					if f.Index == i && !f.RecordOnly {
 						found = true
 					}
 				}
@@ -318,156 +381,5 @@ func TestBackoffUsesFakeClock(t *testing.T) {
 		if d != want {
 			t.Errorf("retry %d slept %v, want %v", i+1, d, want)
 		}
-	}
-}
-
-// TestResumeAfterCompactEquality checks compaction preserves resume
-// semantics exactly: after compacting, a re-run recalls every result
-// from the journal without executing anything, and the results match.
-func TestResumeAfterCompactEquality(t *testing.T) {
-	cfgs := []sim.Config{tinyCfg("w", 0.1), tinyCfg("w", 0.2), tinyCfg("w", 0.3)}
-	path := filepath.Join(t.TempDir(), "c.journal")
-	o := New(Options{Workers: 2, Journal: path})
-	o.run = fakeRun(nil)
-	out, err := o.RunAll(context.Background(), cfgs)
-	if err != nil || len(out.Failures) != 0 {
-		t.Fatalf("campaign: err=%v failures=%v", err, out.Failures)
-	}
-	ref := make([]string, len(cfgs))
-	for i, r := range out.Results {
-		ref[i] = fingerprint(r)
-	}
-
-	st, err := CompactJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Entries != len(cfgs) {
-		t.Fatalf("compacted %d entries, want %d", st.Entries, len(cfgs))
-	}
-	// Compaction is deterministic: compacting a compact file is a no-op
-	// byte for byte.
-	first, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := CompactJournal(path); err != nil {
-		t.Fatal(err)
-	}
-	second, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(first, second) {
-		t.Fatal("compacting an already-compact journal changed its bytes")
-	}
-
-	var calls atomic.Int64
-	o2 := New(Options{Workers: 2, Journal: path})
-	o2.run = fakeRun(&calls)
-	out2, err := o2.RunAll(context.Background(), cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls.Load() != 0 {
-		t.Fatalf("resume after compact re-ran %d runs, want 0", calls.Load())
-	}
-	if out2.FromJournal != len(cfgs) {
-		t.Fatalf("FromJournal = %d, want %d", out2.FromJournal, len(cfgs))
-	}
-	for i, r := range out2.Results {
-		if fingerprint(r) != ref[i] {
-			t.Fatalf("result %d diverged across compaction", i)
-		}
-	}
-}
-
-// TestCompactUnderCorruption checks compaction drops damaged lines with
-// honest accounting and the rewritten journal is fully clean.
-func TestCompactUnderCorruption(t *testing.T) {
-	cfgs := []sim.Config{tinyCfg("w", 0.1), tinyCfg("w", 0.2), tinyCfg("w", 0.3)}
-	path := filepath.Join(t.TempDir(), "c.journal")
-	o := New(Options{Workers: 1, Journal: path})
-	o.run = fakeRun(nil)
-	if _, err := o.RunAll(context.Background(), cfgs); err != nil {
-		t.Fatal(err)
-	}
-
-	// Flip one payload byte in the middle line: its CRC must catch it.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := bytes.SplitAfter(data, []byte{'\n'})
-	mid := lines[1]
-	mid[len(mid)/2] ^= 0x40
-	if err := os.WriteFile(path, bytes.Join(lines, nil), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	st, err := CompactJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Load.Skipped != 1 || st.Load.CRCFailed != 1 {
-		t.Fatalf("compact load stats = %+v, want 1 skipped / 1 CRC-failed", st.Load)
-	}
-	if st.Entries != len(cfgs)-1 {
-		t.Fatalf("compacted %d entries, want %d", st.Entries, len(cfgs)-1)
-	}
-	done, lst, err := LoadJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lst.Skipped != 0 || len(done) != len(cfgs)-1 {
-		t.Fatalf("compacted journal reloads dirty: %+v, %d entries", lst, len(done))
-	}
-}
-
-// TestCompactInjectedFailureIsAtomic checks an injected failure at
-// either compaction site leaves the original journal byte-identical and
-// no temp debris on disk.
-func TestCompactInjectedFailureIsAtomic(t *testing.T) {
-	for _, site := range []string{fault.SiteJournalCompactWrite, fault.SiteJournalCompactRename} {
-		t.Run(site, func(t *testing.T) {
-			cfgs := []sim.Config{tinyCfg("w", 0.1), tinyCfg("w", 0.2)}
-			dir := t.TempDir()
-			path := filepath.Join(dir, "c.journal")
-			o := New(Options{Workers: 1, Journal: path})
-			o.run = fakeRun(nil)
-			if _, err := o.RunAll(context.Background(), cfgs); err != nil {
-				t.Fatal(err)
-			}
-			before, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			fault.Enable(1)
-			fault.Set(site, fault.Spec{Every: 1, Limit: 1})
-			defer fault.Disable()
-			if _, err := CompactJournal(path); !errors.Is(err, fault.ErrInjected) {
-				t.Fatalf("compact error = %v, want fault.ErrInjected", err)
-			}
-			after, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(before, after) {
-				t.Fatal("failed compaction modified the journal")
-			}
-			ents, err := os.ReadDir(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(ents) != 1 {
-				t.Fatalf("temp debris left behind: %v", ents)
-			}
-
-			// The budget fired; the retried compaction must succeed.
-			if _, err := CompactJournal(path); err != nil {
-				t.Fatalf("compaction after injected failure: %v", err)
-			}
-		})
 	}
 }

@@ -27,8 +27,8 @@ import (
 // task — one worker slot per group — so concurrent campaigns' groups
 // interleave under fair scheduling and a draining pool sheds
 // not-yet-started groups back to the per-run stage, where drain
-// accounting leaves them journal-pending, while in-flight groups finish
-// and checkpoint.
+// accounting leaves them unstored and pending, while in-flight groups
+// finish and store their results.
 
 // runFanGroup executes one fan-out group and returns the indices that
 // must drain through the per-run stage: points that failed in-group

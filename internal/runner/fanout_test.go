@@ -3,7 +3,6 @@ package runner
 import (
 	"context"
 	"errors"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -136,9 +135,9 @@ func TestFanoutSingletonBypass(t *testing.T) {
 }
 
 // TestFanoutResumePartialGroupBypass checks a group partially satisfied
-// by the resume journal is not fanned: the remaining members run on the
-// per-run path, and the campaign's results still match an uninterrupted
-// sequential one.
+// by the result store — a resumed campaign — is not fanned: the
+// remaining members run on the per-run path, and the campaign's results
+// still match an uninterrupted sequential one.
 func TestFanoutResumePartialGroupBypass(t *testing.T) {
 	cfgs := []sim.Config{
 		tinyCfg("453.povray", 0.05),
@@ -150,21 +149,21 @@ func TestFanoutResumePartialGroupBypass(t *testing.T) {
 		t.Fatalf("reference campaign: err=%v failures=%v", err, seq.Failures)
 	}
 
-	journal := filepath.Join(t.TempDir(), "resume.journal")
-	head, err := New(Options{Workers: 1, Journal: journal}).RunAll(context.Background(), cfgs[:1])
+	st := openStore(t, t.TempDir(), "sim-test")
+	head, err := New(Options{Workers: 1, Store: st}).RunAll(context.Background(), cfgs[:1])
 	if err != nil || len(head.Failures) != 0 {
 		t.Fatalf("head campaign: err=%v failures=%v", err, head.Failures)
 	}
 
 	var out *Outcome
 	d := fanoutDelta(func() {
-		out, err = New(Options{Workers: 1, Fanout: true, Journal: journal}).RunAll(context.Background(), cfgs)
+		out, err = New(Options{Workers: 1, Fanout: true, Store: st}).RunAll(context.Background(), cfgs)
 	})
 	if err != nil || len(out.Failures) != 0 {
 		t.Fatalf("resumed campaign: err=%v failures=%v", err, out.Failures)
 	}
-	if out.FromJournal != 1 {
-		t.Fatalf("FromJournal = %d, want 1", out.FromJournal)
+	if out.FromStore != 1 || out.Ran != 2 {
+		t.Fatalf("FromStore = %d, Ran = %d, want 1 and 2", out.FromStore, out.Ran)
 	}
 	if d["groups_formed"] != 0 {
 		t.Errorf("partial resume group was fanned: %v", d)

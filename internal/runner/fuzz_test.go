@@ -1,68 +1,112 @@
 package runner
 
 import (
-	"context"
+	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/store"
+	"repro/internal/telemetry"
 )
 
-// FuzzLoadJournal throws arbitrary bytes at the journal loader. The
-// invariants are blanket: LoadJournal never panics, never errors on
-// plain (non-IO-failing) input, and its accounting never goes negative —
-// whatever garbage a damaged disk serves, resume degrades to re-running
-// work, not to crashing or miscounting.
-func FuzzLoadJournal(f *testing.F) {
-	// Seed corpus: a real journal line, legacy bare JSON, classic
-	// corruption shapes, and framing edge cases.
-	o := New(Options{Workers: 1, Journal: filepath.Join(f.TempDir(), "seed.journal")})
-	o.run = fakeRun(nil)
-	if _, err := o.RunAll(context.Background(), []sim.Config{tinyCfg("w", 0.25)}); err != nil {
-		f.Fatal(err)
-	}
-	real, err := os.ReadFile(o.opts.Journal)
+// fuzzSegment runs a one-config campaign into a fresh store and returns
+// the store's segment bytes: one intact record.
+func fuzzSegment(tb testing.TB, key string) []byte {
+	tb.Helper()
+	dir := tb.TempDir()
+	st, err := store.Open(store.Options{Dir: dir, Fingerprint: "sim-fuzz"})
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
-	f.Add(real)                                // intact checksummed entry
-	f.Add(real[:len(real)/2])                  // torn mid-append
-	f.Add([]byte(`{"key":"k","result":null}`)) // legacy line, nil result
-	f.Add([]byte(`{"key":"k","result":{"Config":{},"IPC":1}}`))
-	f.Add([]byte("!deadbeef {\"key\":\"k\"}\n")) // CRC mismatch
-	f.Add([]byte("!zzzzzzzz {}\n"))              // malformed hex
-	f.Add([]byte("!00"))                         // frame shorter than prefix
+	if err := st.Put(key, &sim.Result{Config: tinyCfg("w", 0.25), IPC: 0.75}); err != nil {
+		tb.Fatal(err)
+	}
+	st.Close()
+	return segmentOf(tb, dir)
+}
+
+// openFuzzed opens a store whose only segment holds data, failing the
+// test if the open fails, and returns it with its directory.
+func openFuzzed(t *testing.T, data []byte) (*store.Store, string) {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "seg-00000001.seg"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(store.Options{Dir: dir, Fingerprint: "sim-fuzz"})
+	if err != nil {
+		t.Fatalf("store open errored on plain input: %v", err)
+	}
+	return st, dir
+}
+
+// FuzzLoadJournal throws arbitrary bytes at the loader of the campaign's
+// durable record — the result store's segment scan, which replaced the
+// resume journal this target is named for. It fuzzes the scan's
+// corruption contract: open never fails or panics on plain input, a
+// torn tail is trimmed benignly, a corrupt record in the middle of a
+// file is skipped and counted while every intact record after it is
+// still indexed, and every indexed record reads back. Whatever garbage
+// a damaged disk serves, resume degrades to re-running work, not to
+// crashing or serving a wrong result.
+func FuzzLoadJournal(f *testing.F) {
+	real := fuzzSegment(f, "k")
+	sentinel := fuzzSegment(f, "fuzz-sentinel")
+	bitRot := bytes.Clone(real)
+	bitRot[len(bitRot)/2] ^= 0x40
+	f.Add(real)               // intact record
+	f.Add(real[:len(real)/2]) // torn mid-append
+	f.Add(bitRot)             // CRC mismatch
+	f.Add(append(bytes.Clone(real), real[:len(real)/3]...))
+	f.Add([]byte("!deadbeef {\"key\":\"k\"}\n"))
+	f.Add([]byte("!zzzzzzzz {}\n")) // malformed hex
+	f.Add([]byte("!00"))            // frame shorter than its prefix
+	f.Add([]byte(`{"fp":"sim-fuzz","key":"k","result":{"IPC":1}}` + "\n"))
 	f.Add([]byte("\n\n\n"))
-	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xfe, 0x00, '\n', '{'})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		path := filepath.Join(t.TempDir(), "fuzz.journal")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
+		before := telemetry.StoreSnapshot()
+		st, dir := openFuzzed(t, data)
+		keys := st.Keys()
+		for _, k := range keys {
+			if _, ok := st.Peek(k); !ok {
+				t.Fatalf("indexed record %q does not read back", k)
+			}
 		}
-		done, st, err := LoadJournal(path)
-		if err != nil {
-			t.Fatalf("LoadJournal errored on plain input: %v", err)
+		st.Close()
+		if d := telemetry.StoreSnapshot()["torn_tails"] - before["torn_tails"]; d < 0 || d > 1 {
+			t.Fatalf("open trimmed %d torn tails from one segment", d)
 		}
-		if st.Entries != len(done) {
-			t.Fatalf("Entries=%d but %d results loaded", st.Entries, len(done))
-		}
-		if st.Skipped < 0 || st.CRCFailed < 0 || st.CRCFailed > st.Skipped {
-			t.Fatalf("impossible accounting: %+v", st)
-		}
-		// Whatever loaded must survive a compact → reload round trip with
-		// nothing further dropped.
-		if _, err := CompactJournal(path); err != nil {
-			t.Fatalf("CompactJournal: %v", err)
-		}
-		again, st2, err := LoadJournal(path)
+
+		// The trimmed segment ends on a record boundary: a reopen finds
+		// nothing left to trim and indexes the same records.
+		before = telemetry.StoreSnapshot()
+		again, err := store.Open(store.Options{Dir: dir, Fingerprint: "sim-fuzz"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st2.Skipped != 0 || len(again) != len(done) {
-			t.Fatalf("compact lost entries: before %d, after %d (%+v)", len(done), len(again), st2)
+		if d := telemetry.StoreSnapshot()["torn_tails"] - before["torn_tails"]; d != 0 {
+			t.Fatal("reopen found another torn tail")
 		}
+		if got := again.Keys(); !reflect.DeepEqual(got, keys) {
+			t.Fatalf("reopen indexed %v, first open %v", got, keys)
+		}
+		again.Close()
+
+		// Whatever precedes it, an intact record after the fuzzed bytes
+		// is indexed.
+		mid := bytes.Clone(data)
+		if len(mid) > 0 && mid[len(mid)-1] != '\n' {
+			mid = append(mid, '\n')
+		}
+		st, _ = openFuzzed(t, append(mid, sentinel...))
+		if res, ok := st.Peek("fuzz-sentinel"); !ok || res.IPC != 0.75 {
+			t.Fatalf("intact record after the fuzzed bytes lost: %v %v", res, ok)
+		}
+		st.Close()
 	})
 }

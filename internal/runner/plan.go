@@ -10,6 +10,7 @@ import (
 // func it is handed, so every routing rule is unit-testable with fakes.
 // RunAll then executes the plan's stages in a fixed order — store hits,
 // profiles, fan groups, then the per-run points alongside the watchers.
+// A resumed config is simply a store hit.
 
 // executor is the path that serves one config.
 type executor uint8
@@ -19,8 +20,6 @@ const (
 	execFull executor = iota
 	// execUnhashable has no config key; it fails up front.
 	execUnhashable
-	// execJournal is already in the resume journal.
-	execJournal
 	// execStore was a store hit at admission.
 	execStore
 	// execFlight is being computed by another campaign right now; a
@@ -39,14 +38,13 @@ type reason uint8
 const (
 	whyDefault          reason = iota // no fast path was requested
 	whyUnhashable                     // ConfigKey failed
-	whyJournaled                      // journaled by an earlier run
 	whyStoreHit                       // stored under the current fingerprint
 	whyInFlight                       // another campaign holds its flight
 	whySubstituted                    // a test simulator: profiles and fan groups need the real one
 	whySampleIneligible               // sim.SampleEligible refused it
 	whyProfiled                       // sampled candidate
 	whyFanSingleton                   // alone on its stream, or a chunk's leftover
-	whyFanPartial                     // a stream-mate is journaled, stored or in flight
+	whyFanPartial                     // a stream-mate is stored or in flight
 	whyFanned                         // fan-out group member
 )
 
@@ -58,24 +56,20 @@ type entry struct {
 	group int32
 }
 
-// plan assigns every config exactly one executor. journaled reports a
-// config already in the resume journal; admit, nil without a store, is
-// the admission-time store lookup of a config that is neither unhashable
-// nor journaled: execStore for a hit, execFlight for a config another
-// campaign is computing, execFull otherwise. substituted is true when a
+// plan assigns every config exactly one executor. admit, nil without a
+// store, is the admission-time store lookup of a hashable config:
+// execStore for a hit (a resumed config included), execFlight for a
+// config another campaign is computing, execFull otherwise. substituted is true when a
 // test simulator replaces sim.RunContext: profiles and fan groups run
 // the real simulator, so the plan then keeps every remaining config on
 // the per-run stage. Sampling wins over fan-out when both are requested,
 // because a fan group simulates every point's full ROI.
-func plan(cfgs []sim.Config, keys []string, journaled func(int) bool, admit func(int) executor,
-	opts Options, substituted bool) []entry {
+func plan(cfgs []sim.Config, keys []string, admit func(int) executor, opts Options, substituted bool) []entry {
 	e := make([]entry, len(cfgs))
 	for i := range cfgs {
 		switch {
 		case keys[i] == "":
 			e[i] = entry{exec: execUnhashable, why: whyUnhashable}
-		case journaled(i):
-			e[i] = entry{exec: execJournal, why: whyJournaled}
 		case admit != nil:
 			switch e[i].exec = admit(i); e[i].exec {
 			case execStore:
@@ -130,9 +124,9 @@ func planSample(e []entry, cfgs []sim.Config) {
 // planFan groups the full entries that share a primary record stream
 // (sim.FanGroupKey) into fan-out groups. Keyed configs are grouped in
 // input order; a group is fanned only when it has at least two members
-// and every member is still to run, because a resumed campaign should
-// finish the way its journal started rather than switch strategy
-// mid-sweep. maxGroup >= 2 caps group size (load shedding): oversized
+// and every member is still to run, so a resumed campaign, or one
+// sharing work with another, finishes on the per-run path rather than
+// switching strategy mid-sweep. maxGroup >= 2 caps group size (load shedding): oversized
 // groups are split into chunks of at most maxGroup points, and a
 // leftover singleton stays on the per-run stage.
 func planFan(e []entry, cfgs []sim.Config, keys []string, maxGroup int) {

@@ -22,11 +22,9 @@ func planKeys(t *testing.T, cfgs []sim.Config) []string {
 	return keys
 }
 
-func none(int) bool { return false }
-
 // TestPlanAdmission covers the executors decided before any fast path:
-// unhashable, journaled, store hit, in flight and a plain miss. The
-// admission lookup is consulted only for configs still to run.
+// unhashable, store hit (a resumed config), in flight and a plain miss.
+// The admission lookup is consulted only for hashable configs.
 func TestPlanAdmission(t *testing.T) {
 	cfgs := []sim.Config{
 		tinyCfg("433.milc", 0.1), tinyCfg("433.milc", 0.2), tinyCfg("433.milc", 0.3),
@@ -34,16 +32,15 @@ func TestPlanAdmission(t *testing.T) {
 	}
 	keys := planKeys(t, cfgs)
 	keys[0] = "" // unhashable
-	journaled := func(i int) bool { return i == 1 }
 	var asked []int
 	admit := func(i int) executor {
 		asked = append(asked, i)
 		return map[int]executor{2: execStore, 3: execFlight}[i]
 	}
-	got := plan(cfgs, keys, journaled, admit, Options{}, false)
+	got := plan(cfgs, keys, admit, Options{}, false)
 	want := []entry{
 		{exec: execUnhashable, why: whyUnhashable},
-		{exec: execJournal, why: whyJournaled},
+		{exec: execFull, why: whyDefault},
 		{exec: execStore, why: whyStoreHit},
 		{exec: execFlight, why: whyInFlight},
 		{exec: execFull, why: whyDefault},
@@ -51,10 +48,10 @@ func TestPlanAdmission(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("plan = %+v\nwant %+v", got, want)
 	}
-	if !reflect.DeepEqual(asked, []int{2, 3, 4}) {
-		t.Errorf("admission asked about %v, want [2 3 4]", asked)
+	if !reflect.DeepEqual(asked, []int{1, 2, 3, 4}) {
+		t.Errorf("admission asked about %v, want [1 2 3 4]", asked)
 	}
-	if got := plan(cfgs, keys, journaled, nil, Options{}, false)[2]; got.exec != execFull {
+	if got := plan(cfgs, keys, nil, Options{}, false)[2]; got.exec != execFull {
 		t.Errorf("without a store a config runs full, got %+v", got)
 	}
 }
@@ -77,7 +74,7 @@ func TestPlanSampleEligibility(t *testing.T) {
 			c := tinyCfg("403.gcc", 0.3)
 			mut(&c)
 			cfgs := []sim.Config{c}
-			got := plan(cfgs, planKeys(t, cfgs), none, nil, Options{Sample: true}, false)
+			got := plan(cfgs, planKeys(t, cfgs), nil, Options{Sample: true}, false)
 			if want := (entry{exec: execFull, why: whySampleIneligible}); got[0] != want {
 				t.Errorf("plan = %+v, want %+v", got[0], want)
 			}
@@ -97,7 +94,7 @@ func TestPlanSampleEligibility(t *testing.T) {
 	reseeded := tinyCfg("403.gcc", 0.3)
 	reseeded.Seed = 2
 	cfgs = append(cfgs, other, reseeded)
-	e := plan(cfgs, planKeys(t, cfgs), none, nil, Options{Sample: true}, false)
+	e := plan(cfgs, planKeys(t, cfgs), nil, Options{Sample: true}, false)
 	for i, en := range e {
 		wantGroup := int32(0)
 		switch i {
@@ -116,7 +113,7 @@ func TestPlanSampleEligibility(t *testing.T) {
 }
 
 // TestPlanFanGroups covers the fan-out grouping rules: a whole group,
-// a lone config, a partial group whose stream-mate is journaled, and
+// a lone config, a partial group whose stream-mate is stored, and
 // FanMaxGroup chunking with its leftover singleton.
 func TestPlanFanGroups(t *testing.T) {
 	var cfgs []sim.Config
@@ -125,17 +122,17 @@ func TestPlanFanGroups(t *testing.T) {
 	}
 	cfgs = append(cfgs, tinyCfg("470.lbm", 0.1)) // 3: alone on its stream
 	for _, p := range []float64{0.1, 0.2} {
-		cfgs = append(cfgs, tinyCfg("450.soplex", p)) // 4-5: 4 is journaled
+		cfgs = append(cfgs, tinyCfg("450.soplex", p)) // 4-5: 4 is stored
 	}
 	keys := planKeys(t, cfgs)
-	journaled := func(i int) bool { return i == 4 }
-	e := plan(cfgs, keys, journaled, nil, Options{Fanout: true}, false)
+	stored := func(i int) executor { return map[int]executor{4: execStore}[i] }
+	e := plan(cfgs, keys, stored, Options{Fanout: true}, false)
 	want := []entry{
 		{exec: execFan, why: whyFanned, group: 0},
 		{exec: execFan, why: whyFanned, group: 0},
 		{exec: execFan, why: whyFanned, group: 0},
 		{exec: execFull, why: whyFanSingleton},
-		{exec: execJournal, why: whyJournaled},
+		{exec: execStore, why: whyStoreHit},
 		{exec: execFull, why: whyFanPartial},
 	}
 	if !reflect.DeepEqual(e, want) {
@@ -150,7 +147,7 @@ func TestPlanFanGroups(t *testing.T) {
 			}
 			return execFull
 		}
-		e := plan(cfgs[:3], keys[:3], none, admit, Options{Fanout: true}, false)
+		e := plan(cfgs[:3], keys[:3], admit, Options{Fanout: true}, false)
 		if e[0].why != whyFanPartial || e[2].why != whyFanPartial || e[0].exec != execFull {
 			t.Errorf("admission %d: plan = %+v, want the rest partial on the full path", x, e)
 		}
@@ -161,7 +158,7 @@ func TestPlanFanGroups(t *testing.T) {
 	for _, p := range []float64{0.1, 0.2, 0.3, 0.4, 0.5} {
 		cfgs = append(cfgs, tinyCfg("453.povray", p))
 	}
-	e = plan(cfgs, planKeys(t, cfgs), none, nil, Options{Fanout: true, FanMaxGroup: 2}, false)
+	e = plan(cfgs, planKeys(t, cfgs), nil, Options{Fanout: true, FanMaxGroup: 2}, false)
 	if g := groups(e, execFan); !reflect.DeepEqual(g, [][]int{{0, 1}, {2, 3}}) {
 		t.Errorf("chunks = %v, want [[0 1] [2 3]]", g)
 	}
@@ -169,7 +166,7 @@ func TestPlanFanGroups(t *testing.T) {
 		t.Errorf("leftover = %+v, want %+v", e[4], want)
 	}
 	// FanMaxGroup below 2 means unlimited.
-	e = plan(cfgs, planKeys(t, cfgs), none, nil, Options{Fanout: true, FanMaxGroup: 1}, false)
+	e = plan(cfgs, planKeys(t, cfgs), nil, Options{Fanout: true, FanMaxGroup: 1}, false)
 	if g := groups(e, execFan); len(g) != 1 || len(g[0]) != 5 {
 		t.Errorf("FanMaxGroup 1 groups = %v, want one group of 5", g)
 	}
@@ -181,19 +178,19 @@ func TestPlanSampleWinsAndSubstitutedSimulator(t *testing.T) {
 	cfgs := []sim.Config{tinyCfg("453.povray", 0.1), tinyCfg("453.povray", 0.2)}
 	keys := planKeys(t, cfgs)
 	both := Options{Sample: true, Fanout: true}
-	for _, en := range plan(cfgs, keys, none, nil, both, false) {
+	for _, en := range plan(cfgs, keys, nil, both, false) {
 		if en.exec != execSampled {
 			t.Errorf("Sample+Fanout planned %+v, want a sampled candidate", en)
 		}
 	}
 	for _, opts := range []Options{both, {Sample: true}, {Fanout: true}} {
-		for _, en := range plan(cfgs, keys, none, nil, opts, true) {
+		for _, en := range plan(cfgs, keys, nil, opts, true) {
 			if want := (entry{exec: execFull, why: whySubstituted}); en != want {
 				t.Errorf("substituted simulator with %+v planned %+v, want %+v", opts, en, want)
 			}
 		}
 	}
-	for _, en := range plan(cfgs, keys, none, nil, Options{}, true) {
+	for _, en := range plan(cfgs, keys, nil, Options{}, true) {
 		if want := (entry{exec: execFull, why: whyDefault}); en != want {
 			t.Errorf("no fast path planned %+v, want %+v", en, want)
 		}
@@ -232,7 +229,7 @@ func TestPlanSweepFanGrid(t *testing.T) {
 	if len(cfgs) != 63 {
 		t.Fatalf("grid has %d configs, want 63", len(cfgs))
 	}
-	e := plan(cfgs, planKeys(t, cfgs), none, nil, Options{Fanout: true}, false)
+	e := plan(cfgs, planKeys(t, cfgs), nil, Options{Fanout: true}, false)
 	if len(e) != len(cfgs) {
 		t.Fatalf("%d entries for %d configs", len(e), len(cfgs))
 	}

@@ -20,10 +20,10 @@ import (
 // once regardless of how many campaigns it has queued.
 //
 // Draining a pool implements the service's graceful-shutdown contract:
-// in-flight tasks finish (and get journaled by their campaigns), queued
+// in-flight tasks finish (and get stored by their campaigns), queued
 // tasks are shed back to their campaigns synchronously (reported as
-// canceled, so the campaign's journal keeps them pending for the next
-// restart's resume), and no new task starts.
+// canceled, so they stay unstored, pending for the next restart's
+// resume), and no new task starts.
 type Pool struct {
 	mu   sync.Mutex
 	cond *sync.Cond

@@ -11,20 +11,25 @@
 //   - retry: runs that die for seed-dependent reasons (panic, timeout)
 //     are retried up to Options.Retries times with a deterministically
 //     perturbed seed.
-//   - resume: each completed result is appended to a JSONL journal keyed
-//     by a deterministic config hash; rerunning the same campaign with
-//     the same journal skips everything already completed, so a crashed
-//     or interrupted sweep loses no finished work.
+//   - resume: with a result store (Options.Store, internal/store), every
+//     computed result is stored — one write, one fsync — under a
+//     deterministic config hash before anything observes it; rerunning
+//     the same campaign against the same store takes every stored result
+//     as a hit, so a crashed or interrupted sweep loses no finished work.
+//     The store is the campaign's only durable record.
 //
 // RunAll plans before it runs: a pure planner (plan.go) assigns every
-// config one executor — journal, store hit, another campaign's flight,
-// sampled candidate, fan-out group or the full per-run path — and the
-// campaign executes the plan's stages in a fixed order through one
-// dispatcher, recording every success through one completion path.
+// config one executor — store hit, another campaign's flight, sampled
+// candidate, fan-out group or the full per-run path — and the campaign
+// executes the plan's stages in a fixed order through one dispatcher,
+// recording every success through one completion path.
 package runner
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
@@ -42,8 +47,8 @@ import (
 )
 
 // Options tunes an Orchestrator. The zero value runs with GOMAXPROCS
-// workers, no per-run deadline, no retries and no journal — equivalent
-// to sim.RunManyContext plus structured failures.
+// workers, no per-run deadline, no retries and no result store —
+// equivalent to sim.RunManyContext plus structured failures.
 type Options struct {
 	// Workers caps concurrent simulations; <= 0 means GOMAXPROCS.
 	Workers int
@@ -71,15 +76,11 @@ type Options struct {
 	// forever. The watchdog only triggers on an expired context, so a
 	// hang under neither Timeout nor cancellation is undetectable.
 	StallGrace time.Duration
-	// Journal, when non-empty, is the path of the JSONL checkpoint
-	// file. Existing entries are loaded first and their configs are
-	// skipped; every newly completed result is appended and flushed.
-	Journal string
 	// Logf receives progress and failure lines (log.Printf-shaped);
 	// nil means silent.
 	Logf func(format string, args ...any)
 	// Progress, when positive, emits a live heartbeat snapshot
-	// (completed/failed/retried runs, runs/sec, ETA, journal state)
+	// (completed/failed/retried runs, runs/sec, ETA, record failures)
 	// through Logf on this period. Independent of the period, every
 	// campaign publishes its progress on expvar ("pinte.campaign",
 	// served by the prof package's -debug endpoint).
@@ -98,8 +99,8 @@ type Options struct {
 	// and the rest run per-run inside the group. Results are
 	// byte-identical to the sequential path; points that fail inside a
 	// group fall back to it, where the normal retry policy applies.
-	// Singleton groups, and groups a member of which is journaled,
-	// stored or in flight elsewhere, always run per-run.
+	// Singleton groups, and groups a member of which is stored or in
+	// flight elsewhere, always run per-run.
 	Fanout bool
 	// FanMaxGroup caps a fan-out group's size; oversized groups are
 	// split into chunks of at most this many points. The campaign
@@ -119,9 +120,9 @@ type Options struct {
 	// that are not sample-eligible, members of a failed profile, and
 	// sampled attempts that fail at run time all fall back to the
 	// full-ROI path. Mutually exclusive with Fanout (fan groups simulate
-	// the full ROI); sampling wins when both are set.
-	// Sampled results are approximations: do not mix Sample on and off
-	// across resumes of the same journal.
+	// the full ROI); sampling wins when both are set. A sampled result is
+	// stored under its own key (SampledKey), so a rerun of a sampled
+	// campaign resumes it while a full-fidelity campaign never reads it.
 	Sample bool
 	// Pool, when non-nil, executes the campaign on a shared
 	// multi-campaign worker pool instead of workers owned by this
@@ -130,8 +131,8 @@ type Options struct {
 	// concurrent campaigns interleave under stride fair scheduling and
 	// per-tenant concurrency caps. Workers is ignored in pool mode. Runs
 	// shed by a draining pool are recorded as ErrCanceled, leaving them
-	// pending in the journal for the next resume; a shed profile leaves
-	// its members unsampled and a shed group's points run per-run.
+	// unstored for the next resume; a shed profile leaves its members
+	// unsampled and a shed group's points run per-run.
 	Pool *Pool
 	// Tenant tags the campaign's pool queue for per-tenant caps;
 	// Weight is its fair-share weight (minimum 1). Both are ignored
@@ -144,22 +145,27 @@ type Options struct {
 	// "pinte.campaign" slot. The service unregisters it when the
 	// campaign is finalized.
 	CampaignID string
-	// OnResult observes every completed result: resumed journal entries
-	// first (fromJournal=true, in input order), then live completions
-	// as they happen. Called without internal locks held; must be safe
-	// for concurrent use.
-	OnResult func(index int, key string, res *sim.Result, fromJournal bool)
-	// Store, when non-nil, is the cross-campaign content-addressed
-	// result store (internal/store): configs already stored under the
-	// current simulator fingerprint when the campaign is admitted are
-	// satisfied without running, configs another campaign is computing
-	// right now are collapsed onto that computation via single-flight
-	// (no pool worker burned on a duplicate), and every full-fidelity
-	// result this campaign computes is stored after its journal entry,
-	// then published to any campaign waiting on it. Sampled runs bypass
-	// the store in both directions — approximations are never shared.
-	// Store failures degrade to compute-without-cache; they never fail
-	// a run.
+	// OnResult observes every completed result: admission-time store
+	// hits first (in input order), then completions as they happen.
+	// fromStore marks a result served from the store — a hit or another
+	// campaign's shared computation — rather than computed by this
+	// campaign; a computed result is already stored when OnResult sees
+	// it. Called without internal locks held; must be safe for
+	// concurrent use.
+	OnResult func(index int, key string, res *sim.Result, fromStore bool)
+	// Store, when non-nil, is the campaign's durable record: the
+	// cross-campaign content-addressed result store (internal/store).
+	// Configs already stored under the current simulator fingerprint
+	// when the campaign is admitted are satisfied without running —
+	// which is how an interrupted campaign resumes — and configs another
+	// campaign is computing right now are collapsed onto that
+	// computation via single-flight (no pool worker burned on a
+	// duplicate). Every result this campaign computes is stored (under
+	// RecordKey) before OnResult sees it, then a full-fidelity one is
+	// published to any campaign waiting on it; a store hit writes
+	// nothing. Sampled attempts bypass single-flight. A failed store
+	// append keeps the result and is reported as a record-only failure;
+	// a failed read recomputes.
 	Store *store.Store
 }
 
@@ -169,7 +175,7 @@ type RunError struct {
 	Index int
 	// Config is the original (unperturbed) configuration.
 	Config sim.Config
-	// Key is the config's journal hash.
+	// Key is the config's ConfigKey.
 	Key string
 	// Err is the final attempt's failure, wrapping one of the sim
 	// taxonomy sentinels (ErrBadConfig, ErrTimeout, ErrPanic,
@@ -180,18 +186,17 @@ type RunError struct {
 	// WallTime spans all attempts; Attempts counts them.
 	WallTime time.Duration
 	Attempts int
-	// JournalOnly marks a failure where the simulation itself
-	// succeeded — its result is present in Outcome.Results — but the
-	// checkpoint append to the resume journal was lost. Callers should
-	// treat these as warnings about journal completeness, not as
-	// failed runs.
-	JournalOnly bool
+	// RecordOnly marks a failure where the simulation itself succeeded
+	// — its result is present in Outcome.Results — but storing it
+	// failed, so a rerun would compute it again. Callers should treat
+	// these as warnings about the durable record, not as failed runs.
+	RecordOnly bool
 }
 
 func (e *RunError) Error() string {
 	kind := "run"
-	if e.JournalOnly {
-		kind = "journal-only failure for run"
+	if e.RecordOnly {
+		kind = "record-only failure for run"
 	}
 	return fmt.Sprintf("%s %d (%s %s p=%g seed=%d): %v [attempts=%d wall=%s]",
 		kind, e.Index, e.Config.Mode, e.Config.Workload, e.Config.PInduce,
@@ -208,13 +213,11 @@ type Outcome struct {
 	Results []*sim.Result
 	// Failures holds one RunError per failed config, ordered by Index.
 	Failures []*RunError
-	// FromJournal counts configs satisfied from the resume journal
-	// without running; FromStore counts configs satisfied from the
-	// cross-campaign result store (a prior hit or a shared in-flight
-	// computation); Ran counts configs actually executed.
-	FromJournal int
-	FromStore   int
-	Ran         int
+	// FromStore counts configs satisfied from the result store without
+	// running (a stored hit, resumed work included, or a shared
+	// in-flight computation); Ran counts configs actually executed.
+	FromStore int
+	Ran       int
 }
 
 // Err joins the failures into one error, or returns nil for a fully
@@ -231,19 +234,19 @@ func (o *Outcome) Err() error {
 }
 
 // HardFailures returns the failures whose runs actually produced no
-// result, excluding journal-only failures (result kept, checkpoint
+// result, excluding record-only failures (result kept, store append
 // lost). Exit-code logic should key off this list: a campaign whose
-// every run completed is not a failed campaign just because a journal
+// every run completed is not a failed campaign just because a store
 // write was.
 func (o *Outcome) HardFailures() []*RunError { return o.failures(false) }
 
-// JournalFailures returns the journal-only failures.
-func (o *Outcome) JournalFailures() []*RunError { return o.failures(true) }
+// RecordFailures returns the record-only failures.
+func (o *Outcome) RecordFailures() []*RunError { return o.failures(true) }
 
-func (o *Outcome) failures(journalOnly bool) []*RunError {
+func (o *Outcome) failures(recordOnly bool) []*RunError {
 	var fs []*RunError
 	for _, f := range o.Failures {
-		if f.JournalOnly == journalOnly {
+		if f.RecordOnly == recordOnly {
 			fs = append(fs, f)
 		}
 	}
@@ -275,6 +278,49 @@ func (o *Orchestrator) logf(format string, args ...any) {
 	if o.opts.Logf != nil {
 		o.opts.Logf(format, args...)
 	}
+}
+
+// ConfigKey returns the deterministic key of cfg: the SHA-256 of the
+// canonical JSON of the normalized config (every default resolved). Two
+// configs that would produce identical results hash identically, so a
+// rerun recognises its stored runs even across processes and flag
+// re-orderings.
+func ConfigKey(cfg sim.Config) (string, error) {
+	b, err := json.Marshal(cfg.Normalized())
+	if err != nil {
+		return "", err
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:]), nil
+}
+
+// SampledKey is the store key of a phase-sampled result of the config
+// keyed k: a domain-separated hash of k. Its "s" prefix is not a hex
+// digit, so no ConfigKey can equal it, and a sampled approximation is
+// never served where a full-fidelity result is asked for.
+func SampledKey(k string) string {
+	sum := sha256.Sum256([]byte("pinte.sampled\x00" + k))
+	return "s" + hex.EncodeToString(sum[:])
+}
+
+// RecordKey is the store key a result of the config keyed k is recorded
+// under: SampledKey(k) for a phase-sampled result, k otherwise.
+func RecordKey(k string, res *sim.Result) string {
+	if res.Sampled != nil {
+		return SampledKey(k)
+	}
+	return k
+}
+
+// RecordKeys lists the store keys a campaign finds cfg's result under
+// (cfg keyed k), best first: k, then — in a sampled campaign, for a
+// sample-eligible config — SampledKey(k). A full-fidelity campaign never
+// reads a sampled record.
+func RecordKeys(cfg sim.Config, k string, sample bool) []string {
+	if sample && sim.SampleEligible(cfg) {
+		return []string{k, SampledKey(k)}
+	}
+	return []string{k}
 }
 
 // PerturbSeed derives the seed for retry attempt n (n >= 1) of a run
@@ -335,13 +381,14 @@ func ctxSleep(ctx context.Context, d time.Duration) {
 }
 
 // RunAll executes cfgs under ctx and never aborts on a per-run failure:
-// it always returns an Outcome covering every config. The error return
-// is reserved for campaign-level faults (an unreadable or unwritable
-// journal); per-run failures — including cancellation — are reported in
-// Outcome.Failures so callers can emit completed rows and exit non-zero.
+// it always returns an Outcome covering every config. Per-run failures —
+// including cancellation and lost store appends — are reported in
+// Outcome.Failures so callers can emit completed rows and exit non-zero;
+// the error return is reserved for campaign-level faults, of which there
+// are none today, so it is always nil.
 //
-// A campaign loads its journal, plans every config onto one executor
-// (plan.go), and executes the plan's stages in order.
+// A campaign looks up every config in the store, plans each onto one
+// executor (plan.go), and executes the plan's stages in order.
 func (o *Orchestrator) RunAll(ctx context.Context, cfgs []sim.Config) (*Outcome, error) {
 	c := &campaign{
 		o: o, ctx: ctx, cfgs: cfgs, keys: make([]string, len(cfgs)),
@@ -364,19 +411,6 @@ func (o *Orchestrator) RunAll(ctx context.Context, cfgs []sim.Config) (*Outcome,
 		c.keys[i] = k
 	}
 
-	if o.opts.Journal != "" {
-		if err := c.resume(); err != nil {
-			return nil, err
-		}
-		defer c.journal.Close()
-	}
-	if o.opts.OnResult != nil {
-		for i, res := range c.out.Results {
-			if res != nil {
-				o.opts.OnResult(i, c.keys[i], res, true)
-			}
-		}
-	}
 	if o.opts.Progress > 0 && o.opts.Logf != nil {
 		defer c.heartbeat()()
 	}
@@ -385,12 +419,12 @@ func (o *Orchestrator) RunAll(ctx context.Context, cfgs []sim.Config) (*Outcome,
 		defer c.q.Close()
 	}
 
-	// Admission: one store Get per config still to run (counting its
-	// miss); a hit's result waits in Results for execute to finish it.
+	// Admission: one store Get per config (counting one hit or miss);
+	// a hit's result waits in Results for execute to finish it.
 	var admit func(int) executor
 	if st := o.opts.Store; st != nil {
 		admit = func(i int) executor {
-			if res, ok := st.Get(c.keys[i]); ok {
+			if res, ok := st.Get(RecordKeys(cfgs[i], c.keys[i], o.opts.Sample)...); ok {
 				c.out.Results[i] = res
 				return execStore
 			}
@@ -400,8 +434,7 @@ func (o *Orchestrator) RunAll(ctx context.Context, cfgs []sim.Config) (*Outcome,
 			return execFull
 		}
 	}
-	journaled := func(i int) bool { return c.out.Results[i] != nil }
-	c.execute(plan(cfgs, c.keys, journaled, admit, o.opts, o.run != nil))
+	c.execute(plan(cfgs, c.keys, admit, o.opts, o.run != nil))
 
 	sort.Slice(c.out.Failures, func(a, b int) bool {
 		return c.out.Failures[a].Index < c.out.Failures[b].Index
@@ -411,15 +444,14 @@ func (o *Orchestrator) RunAll(ctx context.Context, cfgs []sim.Config) (*Outcome,
 
 // campaign is one RunAll call's state, shared by every stage.
 type campaign struct {
-	o       *Orchestrator
-	ctx     context.Context
-	cfgs    []sim.Config
-	keys    []string // "" where ConfigKey failed
-	out     *Outcome
-	mu      sync.Mutex // guards out once the stages run
-	prog    *telemetry.Progress
-	journal *Journal
-	q       *Queue // the shared pool's queue; nil with private workers
+	o    *Orchestrator
+	ctx  context.Context
+	cfgs []sim.Config
+	keys []string // "" where ConfigKey failed
+	out  *Outcome
+	mu   sync.Mutex // guards out once the stages run
+	prog *telemetry.Progress
+	q    *Queue // the shared pool's queue; nil with private workers
 	// prior counts each config's failed fan-out in-group attempts, so a
 	// point that dies inside a group re-enters the per-run retry/backoff
 	// ladder at the next rung instead of retrying immediately.
@@ -427,37 +459,6 @@ type campaign struct {
 	// plans holds each sampled candidate's plan once its profile ran; a
 	// nil slot runs the full ROI.
 	plans []*phase.Plan
-}
-
-// resume opens the campaign journal and takes every journaled config's
-// result from it.
-func (c *campaign) resume() error {
-	journal, done, jst, err := OpenJournal(c.o.opts.Journal)
-	if err != nil {
-		return err
-	}
-	c.journal = journal
-	out := c.out
-	for i, k := range c.keys {
-		if res, ok := done[k]; ok && k != "" {
-			out.Results[i] = res
-			out.FromJournal++
-		}
-	}
-	c.prog.FromJournal(out.FromJournal)
-	c.prog.JournalSkipped(jst.Skipped)
-	if out.FromJournal > 0 || jst.Skipped > 0 {
-		line := fmt.Sprintf("resume: %d of %d runs already journaled in %s",
-			out.FromJournal, len(c.cfgs), c.o.opts.Journal)
-		if jst.Skipped > 0 {
-			line += fmt.Sprintf(" (%d corrupt journal lines skipped; their runs re-execute)", jst.Skipped)
-		}
-		if jst.TruncatedTail {
-			line += " (truncated final line from an interrupted append dropped)"
-		}
-		c.o.logf("%s", line)
-	}
-	return nil
 }
 
 // heartbeat pushes a live progress snapshot through Logf every Progress
@@ -601,9 +602,9 @@ send:
 // runPoint executes one config on the per-run path: the retry ladder,
 // under the store's single-flight when the config runs at full
 // fidelity, so a duplicate of another campaign's computation waits for
-// it instead of computing. Sampled attempts bypass the store —
+// it instead of computing. Sampled attempts bypass single-flight —
 // approximations are never shared. A shed point fails as ErrCanceled,
-// which leaves it pending in the journal for the next resume.
+// which leaves it unstored for the next resume.
 func (c *campaign) runPoint(i int, shed bool) {
 	if shed {
 		c.fail(c.canceled(i), false)
@@ -635,17 +636,29 @@ func (c *campaign) runPoint(i int, shed bool) {
 	}
 }
 
-// finish records one success, whichever executor produced it: the
-// result, the Ran/FromStore count, progress, OnResult and the journal
-// append — a failed append becomes a journal-only RunError, since the
-// run itself succeeded. A full-fidelity result this campaign computed
-// is then stored and published to any campaign waiting on its flight,
-// after the journal append so the campaign's own durability is settled
-// first. A failed Put costs only the cache entry.
+// finish records one success, whichever executor produced it. A result
+// this campaign computed is stored first — one write and one fsync,
+// under RecordKey — so it is durable before anything observes it; a
+// failed Put becomes a record-only RunError, since the run itself
+// succeeded. Then the result, the Ran/FromStore count and progress are
+// set, OnResult sees it, and a full-fidelity result is published to any
+// campaign waiting on its flight. A store hit writes nothing.
 func (c *campaign) finish(i int, res *sim.Result, attempts int, via store.Via) {
+	st := c.o.opts.Store
+	computed := via == store.ViaCompute
+	if computed && st != nil {
+		if err := st.Put(RecordKey(c.keys[i], res), res); err != nil {
+			c.prog.RecordError()
+			c.fail(&RunError{
+				Index: i, Config: c.cfgs[i], Key: c.keys[i],
+				Attempts: attempts, RecordOnly: true,
+				Err: fmt.Errorf("storing result: %w", err),
+			}, false)
+		}
+	}
 	c.mu.Lock()
 	c.out.Results[i] = res
-	if via == store.ViaCompute {
+	if computed {
 		c.out.Ran++
 	} else {
 		c.out.FromStore++
@@ -653,22 +666,9 @@ func (c *campaign) finish(i int, res *sim.Result, attempts int, via store.Via) {
 	c.mu.Unlock()
 	c.prog.RunCompleted()
 	if c.o.opts.OnResult != nil {
-		c.o.opts.OnResult(i, c.keys[i], res, false)
+		c.o.opts.OnResult(i, c.keys[i], res, !computed)
 	}
-	if c.journal != nil {
-		if err := c.journal.Append(c.keys[i], res); err != nil {
-			c.prog.JournalError()
-			c.fail(&RunError{
-				Index: i, Config: c.cfgs[i], Key: c.keys[i],
-				Attempts: attempts, JournalOnly: true,
-				Err: fmt.Errorf("journaling result: %w", err),
-			}, false)
-		}
-	}
-	if st := c.o.opts.Store; st != nil && via == store.ViaCompute && c.plans[i] == nil {
-		if err := st.Put(c.keys[i], res); err != nil {
-			c.o.logf("store: caching result of run %d failed (campaign unaffected): %v", i, err)
-		}
+	if computed && res.Sampled == nil {
 		st.Publish(c.keys[i], res)
 	}
 }
@@ -686,7 +686,7 @@ func (c *campaign) fail(re *RunError, ran bool) {
 	}
 	c.out.Failures = append(c.out.Failures, re)
 	c.mu.Unlock()
-	if !re.JournalOnly {
+	if !re.RecordOnly {
 		c.prog.RunFailed()
 	}
 }
@@ -698,7 +698,7 @@ func (c *campaign) fail(re *RunError, ran bool) {
 // count, but not the seed ladder — the first per-run attempt keeps the
 // original seed, so a clean fallback stays byte-identical to a
 // sequential run. It returns the total attempt count alongside the
-// result so journal-only failures can carry it.
+// result so record-only failures can carry it.
 func (c *campaign) runOne(index int) (*sim.Result, int, *RunError) {
 	o, ctx, cfg, prior := c.o, c.ctx, c.cfgs[index], c.prior[index]
 	runFn := o.run

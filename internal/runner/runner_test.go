@@ -1,13 +1,10 @@
 package runner
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -239,10 +236,10 @@ func TestConfigKeyNormalizationAndSensitivity(t *testing.T) {
 	}
 }
 
-// TestConfigKeyIgnoresStreams pins the replay cache's journal contract:
+// TestConfigKeyIgnoresStreams pins the replay cache's store-key contract:
 // attaching a stream source changes how records are produced, never
 // what they are, so it must not change the resume key — a sweep
-// journaled without the cache resumes cleanly with it, and vice versa.
+// stored without the cache resumes cleanly with it, and vice versa.
 func TestConfigKeyIgnoresStreams(t *testing.T) {
 	plain := sim.Config{Workload: "433.milc", Mode: sim.PInTE, PInduce: 0.25}
 	a, err := ConfigKey(plain)
@@ -256,7 +253,7 @@ func TestConfigKeyIgnoresStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	if a != b {
-		t.Fatal("attaching a replay cache changed the journal config key")
+		t.Fatal("attaching a replay cache changed the config key")
 	}
 }
 
@@ -283,119 +280,21 @@ func TestRunAllResultsDropStreams(t *testing.T) {
 	}
 }
 
-func TestLoadJournalToleratesTruncation(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "sweep.journal")
-	j, _, _, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		cfg := tinyCfg(fmt.Sprintf("w%d", i), 0.1)
-		key, err := ConfigKey(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := j.Append(key, &sim.Result{Config: cfg, IPC: float64(i + 1)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate a crash mid-append: a half-written final line.
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"key":"abc","result":{"IPC":3.`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	done, st, err := LoadJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(done) != 2 {
-		t.Fatalf("got %d intact entries, want 2", len(done))
-	}
-	if !st.TruncatedTail || st.Skipped != 0 || st.Entries != 2 {
-		t.Fatalf("truncated tail misclassified: %+v", st)
-	}
-}
-
-// TestLoadJournalSkipsMidFileCorruption is the counterpart regression:
-// a corrupt line in the MIDDLE of the journal (bit rot, a concurrent
-// writer, hand editing) previously ended the scan and silently
-// discarded every intact entry after it, forcing a resume to redo —
-// and double-append — completed work. The scan must instead skip the
-// damaged line, count it, and keep every later entry.
-func TestLoadJournalSkipsMidFileCorruption(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "sweep.journal")
-	j, _, _, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := make([]string, 3)
-	for i := 0; i < 3; i++ {
-		cfg := tinyCfg(fmt.Sprintf("w%d", i), 0.1)
-		keys[i], err = ConfigKey(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := j.Append(keys[i], &sim.Result{Config: cfg, IPC: float64(i + 1)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Corrupt the middle line in place.
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := bytes.Split(raw, []byte("\n"))
-	lines[1] = []byte(`{"key":"mid","result":{"IPC":2.#corrupt#`)
-	if err := os.WriteFile(path, bytes.Join(lines, []byte("\n")), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	done, st, err := LoadJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(done) != 2 {
-		t.Fatalf("got %d intact entries, want 2 (corruption must not end the scan)", len(done))
-	}
-	for _, k := range []string{keys[0], keys[2]} {
-		if done[k] == nil {
-			t.Fatalf("intact entry %s lost", k)
-		}
-	}
-	if st.Skipped != 1 || st.TruncatedTail {
-		t.Fatalf("mid-file corruption misclassified: %+v", st)
-	}
-}
-
-// TestJournalOnlyFailure pins the journal-append failure semantics: the
+// TestRecordOnlyFailure pins the store-append failure semantics: the
 // simulation succeeded, so its result must stay in Results, the failure
 // must carry the REAL attempt count (not a hardcoded 1) and be marked
-// journal-only, and HardFailures must stay empty so exit-code logic
+// record-only, and HardFailures must stay empty so exit-code logic
 // doesn't report a completed campaign as failed.
-func TestJournalOnlyFailure(t *testing.T) {
-	dir := t.TempDir()
-	o := New(Options{Journal: filepath.Join(dir, "j.journal"), Retries: 2})
+func TestRecordOnlyFailure(t *testing.T) {
+	st := openStore(t, t.TempDir(), "sim-test")
+	o := New(Options{Store: st, Retries: 2})
 	calls := 0
 	o.run = func(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
 		calls++
 		if calls == 1 {
 			panic("transient") // consume one retry so Attempts ends at 2
 		}
-		// NaN is not JSON-marshalable, so the journal append of this
+		// NaN is not JSON-marshalable, so the store append of this
 		// otherwise-successful result is guaranteed to fail.
 		return &sim.Result{Config: cfg, IPC: math.NaN()}, nil
 	}
@@ -404,26 +303,26 @@ func TestJournalOnlyFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	if out.Results[0] == nil {
-		t.Fatal("successful run's result was dropped on journal failure")
+		t.Fatal("successful run's result was dropped on store failure")
 	}
 	if len(out.Failures) != 1 {
 		t.Fatalf("got %d failures, want 1", len(out.Failures))
 	}
 	f := out.Failures[0]
-	if !f.JournalOnly {
-		t.Fatalf("journal failure not marked JournalOnly: %v", f)
+	if !f.RecordOnly {
+		t.Fatalf("store failure not marked RecordOnly: %v", f)
 	}
 	if f.Attempts != 2 {
 		t.Fatalf("Attempts = %d, want the real count 2", f.Attempts)
 	}
-	if !strings.Contains(f.Error(), "journal-only") {
-		t.Fatalf("failure message hides journal-only nature: %v", f)
+	if !strings.Contains(f.Error(), "record-only") {
+		t.Fatalf("failure message hides record-only nature: %v", f)
 	}
 	if hard := out.HardFailures(); len(hard) != 0 {
-		t.Fatalf("journal-only failure leaked into HardFailures: %v", hard)
+		t.Fatalf("record-only failure leaked into HardFailures: %v", hard)
 	}
-	if jf := out.JournalFailures(); len(jf) != 1 {
-		t.Fatalf("JournalFailures = %d, want 1", len(jf))
+	if rf := out.RecordFailures(); len(rf) != 1 {
+		t.Fatalf("RecordFailures = %d, want 1", len(rf))
 	}
 }
 
@@ -470,8 +369,8 @@ func TestProgressHeartbeat(t *testing.T) {
 
 // TestResumeProducesIdenticalResults is the acceptance scenario: a
 // campaign that dies mid-flight (here: half the runs panic) is resumed
-// from its journal, re-runs only the missing configs, and the merged
-// results match an uninterrupted campaign exactly.
+// from its result store, re-runs only the missing configs, and the
+// merged results match an uninterrupted campaign exactly.
 func TestResumeProducesIdenticalResults(t *testing.T) {
 	cfgs := []sim.Config{
 		tinyCfg("433.milc", 0),
@@ -489,10 +388,10 @@ func TestResumeProducesIdenticalResults(t *testing.T) {
 		t.Fatal(ref.Err())
 	}
 
-	// First attempt: runs 2 and 3 crash, 0 and 1 complete and journal.
-	dir := t.TempDir()
-	journal := filepath.Join(dir, "campaign.journal")
-	crashy := New(Options{Workers: 1, Journal: journal})
+	// First attempt: runs 2 and 3 crash, 0 and 1 complete and are
+	// stored.
+	st := openStore(t, t.TempDir(), "sim-test")
+	crashy := New(Options{Workers: 1, Store: st})
 	crashy.run = func(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
 		if cfg.Workload != "433.milc" {
 			panic("mid-campaign failure")
@@ -507,18 +406,18 @@ func TestResumeProducesIdenticalResults(t *testing.T) {
 		t.Fatalf("injected failures misbehaved: ran=%d failures=%v", first.Ran, first.Failures)
 	}
 
-	// Resume: only the two missing configs run; the journaled pair is
+	// Resume: only the two missing configs run; the stored pair is
 	// reused verbatim.
-	resumed, err := New(Options{Workers: 2, Journal: journal}).RunAll(context.Background(), cfgs)
+	resumed, err := New(Options{Workers: 2, Store: st}).RunAll(context.Background(), cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resumed.Err() != nil {
 		t.Fatal(resumed.Err())
 	}
-	if resumed.FromJournal != 2 || resumed.Ran != 2 {
-		t.Fatalf("resume re-ran journaled work: fromJournal=%d ran=%d",
-			resumed.FromJournal, resumed.Ran)
+	if resumed.FromStore != 2 || resumed.Ran != 2 {
+		t.Fatalf("resume re-ran stored work: fromStore=%d ran=%d",
+			resumed.FromStore, resumed.Ran)
 	}
 	for i := range cfgs {
 		if fingerprint(resumed.Results[i]) != fingerprint(ref.Results[i]) {
@@ -527,12 +426,12 @@ func TestResumeProducesIdenticalResults(t *testing.T) {
 		}
 	}
 
-	// A second resume finds everything journaled and runs nothing.
-	third, err := New(Options{Workers: 2, Journal: journal}).RunAll(context.Background(), cfgs)
+	// A second resume finds everything stored and runs nothing.
+	third, err := New(Options{Workers: 2, Store: st}).RunAll(context.Background(), cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if third.Ran != 0 || third.FromJournal != 4 {
-		t.Fatalf("fully journaled campaign still ran %d configs", third.Ran)
+	if third.Ran != 0 || third.FromStore != 4 {
+		t.Fatalf("fully stored campaign still ran %d configs", third.Ran)
 	}
 }

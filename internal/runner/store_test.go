@@ -122,8 +122,9 @@ func TestStoreFingerprintBumpForcesRecompute(t *testing.T) {
 }
 
 // TestStoreFaultsDegradeToComputeWithoutCache arms every store fault
-// site at once; the campaign must still fully succeed — the store
-// degrades, the runs do not.
+// site at once; every run must still succeed and keep its result — a
+// lost append is a record-only failure, never a failed run — and a
+// faulted read recomputes.
 func TestStoreFaultsDegradeToComputeWithoutCache(t *testing.T) {
 	fault.Enable(11)
 	defer fault.Disable()
@@ -141,11 +142,19 @@ func TestStoreFaultsDegradeToComputeWithoutCache(t *testing.T) {
 	cfgs := []sim.Config{tinyCfg("a", 0.1), tinyCfg("b", 0.2)}
 	before := telemetry.StoreSnapshot()
 	out, err := o.RunAll(context.Background(), cfgs)
-	if err != nil || out.Err() != nil {
-		t.Fatalf("store faults failed the campaign: %v / %v", err, out.Err())
+	if err != nil || len(out.HardFailures()) != 0 {
+		t.Fatalf("store faults failed the campaign: %v / %v", err, out.HardFailures())
 	}
 	if out.Ran != 2 || computes.Load() != 2 {
 		t.Fatalf("Ran=%d computes=%d, want 2/2", out.Ran, computes.Load())
+	}
+	for i, res := range out.Results {
+		if res == nil {
+			t.Fatalf("run %d lost its result to a failed append", i)
+		}
+	}
+	if rf := out.RecordFailures(); len(rf) != 2 || !errors.Is(rf[0].Err, fault.ErrInjected) {
+		t.Fatalf("record failures = %v, want 2 typed record-only failures", rf)
 	}
 	after := telemetry.StoreSnapshot()
 	if d := after["put_errors"] - before["put_errors"]; d != 2 {
@@ -257,9 +266,10 @@ func TestStoreSingleFlightCollapsesAcrossCampaigns(t *testing.T) {
 	}
 }
 
-// TestStoreSkipsSampledResults: a sampled (approximated) result must
-// never be shared through the store — a second campaign with sampling
-// off recomputes at full fidelity.
+// TestStoreSkipsSampledResults: a sampled (approximated) result is
+// stored under its own key — a second campaign with sampling off never
+// gets it and recomputes at full fidelity, while a sampled rerun is
+// served it.
 func TestStoreSkipsSampledResults(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir, "sim-test")
@@ -271,19 +281,124 @@ func TestStoreSkipsSampledResults(t *testing.T) {
 	if err != nil || out.Err() != nil {
 		t.Fatalf("sampled pass: %v / %v", err, out.Err())
 	}
+	if out.Results[0].Sampled == nil {
+		t.Fatal("sampled pass did not sample")
+	}
 	st.Close()
 
 	st2 := openStore(t, dir, "sim-test")
-	o2 := New(Options{Workers: 1, Store: st2})
-	out2, err := o2.RunAll(context.Background(), []sim.Config{cfg})
+	out2, err := New(Options{Workers: 1, Store: st2}).RunAll(context.Background(), []sim.Config{cfg})
 	if err != nil || out2.Err() != nil {
 		t.Fatalf("full pass: %v / %v", err, out2.Err())
 	}
-	if out.Results[0].Sampled != nil && out2.FromStore != 0 {
-		t.Fatalf("sampled result was served from the store (FromStore=%d)", out2.FromStore)
+	if out2.FromStore != 0 || out2.Ran != 1 {
+		t.Fatalf("full pass FromStore=%d Ran=%d, want 0/1 (the sampled result is not full fidelity)", out2.FromStore, out2.Ran)
 	}
 	if out2.Results[0].Sampled != nil {
 		t.Fatal("full-fidelity pass returned a sampled result")
+	}
+
+	// The sampled rerun prefers the full-fidelity record stored since.
+	out3, err := New(Options{Workers: 1, Store: st2, Sample: true}).RunAll(context.Background(), []sim.Config{cfg})
+	if err != nil || out3.Err() != nil {
+		t.Fatalf("sampled rerun: %v / %v", err, out3.Err())
+	}
+	if out3.FromStore != 1 || out3.Results[0].Sampled != nil {
+		t.Fatalf("sampled rerun FromStore=%d sampled=%v, want the stored full-fidelity result", out3.FromStore, out3.Results[0].Sampled != nil)
+	}
+}
+
+// TestSampledCampaignResumesFromStore cancels a sampled campaign
+// partway through and reruns it against the same store: the sampled
+// points it stored come back as hits — their profile is not run again
+// and neither are they — and only the rest are profiled and run.
+func TestSampledCampaignResumesFromStore(t *testing.T) {
+	var cfgs []sim.Config
+	for _, w := range []string{"433.milc", "470.lbm"} {
+		for _, p := range []float64{0.1, 0.4} {
+			cfg := tinyCfg(w, p)
+			cfg.ROIInstrs = 200_000 // enough windows for a plan to form
+			cfgs = append(cfgs, cfg)
+		}
+	}
+	st := openStore(t, t.TempDir(), "sim-test")
+
+	// One worker runs the per-run stage in input order; canceling at the
+	// second result stores exactly 433.milc's two sampled points.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var seen atomic.Int32
+	first, err := New(Options{
+		Workers: 1, Store: st, Sample: true,
+		OnResult: func(int, string, *sim.Result, bool) {
+			if seen.Add(1) == 2 {
+				cancel()
+			}
+		},
+	}).RunAll(ctx, cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Ran != 2 || len(first.HardFailures()) != 2 {
+		t.Fatalf("canceled pass Ran=%d failures=%v, want 2 run and 2 canceled", first.Ran, first.Failures)
+	}
+	for i := 0; i < 2; i++ {
+		if first.Results[i] == nil || first.Results[i].Sampled == nil {
+			t.Fatalf("canceled pass: point %d missing or unsampled", i)
+		}
+	}
+
+	var out *Outcome
+	d := phaseDelta(func() {
+		out, err = New(Options{Workers: 1, Store: st, Sample: true}).RunAll(context.Background(), cfgs)
+	})
+	if err != nil || out.Err() != nil {
+		t.Fatalf("rerun: %v / %v", err, out.Err())
+	}
+	if out.FromStore != 2 || out.Ran != 2 {
+		t.Fatalf("rerun FromStore=%d Ran=%d, want 2/2", out.FromStore, out.Ran)
+	}
+	if d["profile_runs"] != 1 || d["sampled_runs"] != 2 {
+		t.Fatalf("rerun profiled %d workloads and sampled %d runs, want 1 and 2", d["profile_runs"], d["sampled_runs"])
+	}
+	for i := range cfgs {
+		if out.Results[i] == nil || out.Results[i].Sampled == nil {
+			t.Fatalf("rerun: point %d missing or unsampled", i)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if resultBytes(t, out.Results[i]) != resultBytes(t, first.Results[i]) {
+			t.Fatalf("stored sampled point %d changed across the resume", i)
+		}
+	}
+}
+
+// TestComputedResultStoredBeforeOnResult pins durability before
+// visibility: by the time OnResult sees a result this campaign computed
+// — on the per-run and the fan-out path — the result is already in the
+// store, so nothing a campaign streams can be lost to a crash.
+func TestComputedResultStoredBeforeOnResult(t *testing.T) {
+	for _, fanout := range []bool{false, true} {
+		st := openStore(t, t.TempDir(), "sim-test")
+		var seen, unstored atomic.Int32
+		out, err := New(Options{
+			Workers: 2, Store: st, Fanout: fanout,
+			OnResult: func(_ int, key string, res *sim.Result, fromStore bool) {
+				seen.Add(1)
+				if _, ok := st.Peek(RecordKey(key, res)); !ok && !fromStore {
+					unstored.Add(1)
+				}
+			},
+		}).RunAll(context.Background(), []sim.Config{
+			tinyCfg("433.milc", 0.1), tinyCfg("433.milc", 0.3), tinyCfg("470.lbm", 0.2),
+		})
+		if err != nil || out.Err() != nil || out.Ran != 3 {
+			t.Fatalf("fanout=%v: campaign err=%v/%v ran=%d", fanout, err, out.Err(), out.Ran)
+		}
+		if seen.Load() != 3 || unstored.Load() != 0 {
+			t.Fatalf("fanout=%v: %d of %d computed results were visible before they were stored",
+				fanout, unstored.Load(), seen.Load())
+		}
 	}
 }
 

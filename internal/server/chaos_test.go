@@ -94,7 +94,7 @@ func TestChaosServerStreamWriteFault(t *testing.T) {
 		t.Errorf("StreamWriteErrors %d, want %d", got, werrs+1)
 	}
 
-	// Reconnect: the full set replays from the journal.
+	// Reconnect: the full set replays from the result store.
 	events, final2 := streamResults(t, ts, st.ID)
 	if len(events) != 3 || final2 == nil {
 		t.Fatalf("reconnect replayed %d results (final %v), want all 3", len(events), final2)
@@ -123,7 +123,7 @@ func TestChaosServerDrainWithFaultyManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A state transition under an injected manifest fault rolls back.
-	if err := s.Store().SetState(st2.ID, StateCanceled, "test"); err == nil {
+	if err := s.Store().SetState(st2.ID, StateCanceled, "test", 0, 0); err == nil {
 		t.Fatal("SetState under manifest fault unexpectedly succeeded")
 	}
 	fault.Disable()

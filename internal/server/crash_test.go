@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/runner"
 	"repro/internal/sim"
+	rstore "repro/internal/store"
 )
 
 // TestMain doubles as the pinted binary for the crash-recovery property
@@ -150,23 +151,24 @@ func waitChildState(t *testing.T, c *child, id string, want CampaignState) {
 	}
 }
 
-var resumeLine = regexp.MustCompile(`resume: (\d+) of (\d+) runs already journaled`)
+var resumeLine = regexp.MustCompile(`resume: (\d+) of (\d+) runs already stored`)
 
 // TestChaosServerCrashRecoveryProperty is the kill -9 property test:
 // for a handful of fuzzed kill instants, a pinted child is SIGKILLed
-// mid-campaign, restarted over the same store, and must (a) preserve
-// every journaled result byte-for-byte, (b) resume exactly the runs
-// that were not journaled — the resume log's count must match what the
-// parent counted in the journal before restart — and (c) finish with
-// results byte-identical to an uninterrupted reference campaign.
+// mid-campaign, restarted over the same data directory, and must (a)
+// preserve every stored result byte-for-byte, (b) resume exactly the
+// runs that were not stored — the resume log's count must match what
+// the parent counted in the result store before restart — and (c)
+// finish with results byte-identical to an uninterrupted reference
+// campaign.
 func TestChaosServerCrashRecoveryProperty(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns and kills real server processes")
 	}
 	// Big enough that the campaign is still mid-flight for most of the
 	// fuzzed kill window, and spread over several workloads so the
-	// journal grows in stages (three isolation baselines, then three
-	// fan-out groups) — kills land on partially-journaled campaigns, not
+	// store grows in stages (three isolation baselines, then three
+	// fan-out groups) — kills land on partially-stored campaigns, not
 	// just empty or complete ones. Under the race detector the children
 	// simulate roughly an order of magnitude slower, so the per-run work
 	// shrinks to keep the same kill windows meaningful.
@@ -199,7 +201,7 @@ func TestChaosServerCrashRecoveryProperty(t *testing.T) {
 
 	// The race build's children start and simulate slower; stretch the
 	// kill window by the same rough factor so the fuzzed instants still
-	// straddle the campaign's journal growth.
+	// straddle the campaign's store growth.
 	delayScale := time.Duration(1)
 	if raceEnabled {
 		delayScale = 4
@@ -214,38 +216,40 @@ func TestChaosServerCrashRecoveryProperty(t *testing.T) {
 			time.Sleep(delay)
 			c1.kill(t)
 
-			// What survived the kill? Every journaled entry must already
-			// be byte-identical to the reference.
-			jpath := filepath.Join(dir, "journals", id+".journal")
-			done, _, lerr := runner.LoadJournal(jpath)
-			if lerr != nil {
-				t.Fatalf("journal after SIGKILL: %v", lerr)
+			// What survived the kill? Every stored result must already be
+			// byte-identical to the reference. (Opening the store trims a
+			// torn record, as the restarted child's open would.)
+			results, rerr := rstore.Open(rstore.Options{Dir: filepath.Join(dir, "results")})
+			if rerr != nil {
+				t.Fatalf("result store after SIGKILL: %v", rerr)
 			}
-			for key, res := range done {
+			for _, key := range results.Keys() {
 				want, known := ref[key]
 				if !known {
-					t.Fatalf("journal holds unknown key %s", key)
+					t.Fatalf("result store holds unknown key %s", key)
 				}
-				if fingerprint(t, res) != want {
-					t.Errorf("journaled result %s diverged from the reference", key)
+				res, ok := results.Peek(key)
+				if !ok || fingerprint(t, res) != want {
+					t.Errorf("stored result %s unreadable or diverged from the reference", key)
 				}
 			}
-			journaled := len(done)
+			stored := len(results.Keys())
+			results.Close()
 
 			// Was the campaign still mid-flight when the kill landed? A
 			// campaign that already persisted a terminal state restarts
 			// without a resume pass, so the re-run accounting below only
 			// applies to interrupted ones.
-			store, serr := OpenStore(dir)
-			if serr != nil {
-				t.Fatalf("store after SIGKILL: %v", serr)
+			manifest, merr := OpenStore(dir)
+			if merr != nil {
+				t.Fatalf("manifest after SIGKILL: %v", merr)
 			}
-			meta, ok := store.Get(id)
+			meta, ok := manifest.Get(id)
 			if !ok {
 				t.Fatal("admitted campaign missing from the manifest after SIGKILL")
 			}
 			interrupted := meta.State == StateActive
-			t.Logf("killed after %s: %d/%d runs journaled, state %q", delay, journaled, total, meta.State)
+			t.Logf("killed after %s: %d/%d runs stored, state %q", delay, stored, total, meta.State)
 
 			// Restart over the same store; the campaign must finish.
 			c2 := startChild(t, dir)
@@ -253,15 +257,15 @@ func TestChaosServerCrashRecoveryProperty(t *testing.T) {
 			waitChildState(t, c2, id, StateDone)
 
 			// Exact re-run accounting for interrupted campaigns: the
-			// resume pass must skip exactly the journaled runs — no
+			// resume pass must find exactly the stored runs — no
 			// double-execution, no dropped work.
 			if m := resumeLine.FindStringSubmatch(c2.stderr.String()); m != nil {
 				got, _ := strconv.Atoi(m[1])
-				if got != journaled {
-					t.Errorf("resume skipped %s runs, journal held %d", m[1], journaled)
+				if got != stored || m[2] != strconv.Itoa(total) {
+					t.Errorf("resume found %s of %s runs stored, the store held %d of %d", m[1], m[2], stored, total)
 				}
-			} else if interrupted && journaled != 0 {
-				t.Errorf("no resume line despite %d journaled runs; stderr:\n%s", journaled, c2.stderr.String())
+			} else if interrupted {
+				t.Errorf("no resume line for an interrupted campaign with %d stored runs; stderr:\n%s", stored, c2.stderr.String())
 			}
 
 			// Final results: all present, byte-identical to the reference.

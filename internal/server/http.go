@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strconv"
 	"syscall"
 	"time"
@@ -28,9 +29,11 @@ import (
 //	GET    /v1/campaigns           list campaigns with live progress
 //	GET    /v1/campaigns/{id}      one campaign's manifest record + progress
 //	GET    /v1/campaigns/{id}/results
-//	                               NDJSON result stream: journaled results
+//	                               NDJSON result stream: recorded results
 //	                               replay first, then live completions; a
-//	                               reconnect replays from the start
+//	                               reconnect replays from the start; 410
+//	                               when a finished campaign's results are
+//	                               no longer all stored
 //	DELETE /v1/campaigns/{id}      cancel a live campaign (202) or delete a
 //	                               finished one (204)
 //	GET    /healthz                liveness + drain state
@@ -159,16 +162,17 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleResults streams a campaign's results as NDJSON: every already
-// recorded event (journal replay included) in order, then live
-// completions as they land, then one final status line. Because the
-// replay buffer always starts from the journal, a dropped client that
-// reconnects — even to a restarted server — sees the complete result
-// set again: reconnect is resume.
+// recorded event (store hits included) in order, then live completions
+// as they land, then one final status line. Because a live campaign's
+// buffer holds every result it received, and a finished campaign's are
+// read back from the result store, a dropped client that reconnects —
+// even to a restarted server — sees the complete result set again:
+// reconnect is resume.
 func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	c, live := s.live(id)
 	if !live {
-		// Finished campaign: serve the stream straight from its journal.
+		// Finished campaign: serve the stream from the result store.
 		meta, ok := s.store.Get(id)
 		if !ok {
 			writeError(w, http.StatusNotFound, "no such campaign")
@@ -218,26 +222,34 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// streamFinished replays a finished campaign's journal as the same
-// NDJSON stream a live campaign serves, in canonical config order.
+// streamFinished serves a finished campaign as the same NDJSON stream a
+// live campaign serves, in canonical config order: every run of its spec
+// that the result store holds, read back without counting a hit or a
+// miss. When the store holds fewer results than the campaign received —
+// some were evicted under a byte budget or written by another simulator
+// build — it answers 410 Gone, naming how many are missing, instead of a
+// silently partial stream; a resubmission gets whatever is still stored
+// back as hits and recomputes the rest.
 func (s *Server) streamFinished(w http.ResponseWriter, meta CampaignMeta) {
-	done, _, err := runner.LoadJournal(s.store.JournalPath(meta.ID))
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "loading journal: %v", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
+	var events []resultEvent
 	for i, cfg := range meta.Spec.Configs() {
 		key, err := runner.ConfigKey(cfg)
 		if err != nil {
 			continue
 		}
-		res, ok := done[key]
-		if !ok {
-			continue
+		if res, ok := s.cfg.ResultStore.Peek(runner.RecordKeys(cfg, key, meta.Spec.Sample)...); ok {
+			events = append(events, resultEvent{Index: i, Key: key, FromStore: true, Result: res})
 		}
-		if !s.writeEvent(w, resultEvent{Index: i, Key: key, FromJournal: true, Result: res}) {
+	}
+	if missing := meta.Results - len(events); missing > 0 {
+		writeError(w, http.StatusGone, "%d of the campaign's %d results are no longer stored; resubmit it to recompute them",
+			missing, meta.Results)
+		return
+	}
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	for _, ev := range events {
+		if !s.writeEvent(w, ev) {
 			return
 		}
 	}
@@ -274,7 +286,7 @@ func Main(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		addr       = fs.String("addr", "localhost:8322", "listen address (host:port; port 0 picks a free port)")
-		data       = fs.String("data", "pinted-data", "durable store directory (manifest + campaign journals)")
+		data       = fs.String("data", "pinted-data", "data directory: the campaign manifest, and the result store unless -result-store moves it")
 		workers    = fs.Int("workers", 0, "shared pool workers (0 = GOMAXPROCS)")
 		timeout    = fs.Duration("timeout", 0, "per-run wall-clock budget (0 = unlimited)")
 		retries    = fs.Int("retries", 0, "retries for runs that panic, time out or stall")
@@ -283,10 +295,10 @@ func Main(args []string, stdout, stderr io.Writer) int {
 		drainGrace = fs.Duration("drain-grace", time.Minute, "how long a SIGTERM drain waits for in-flight runs")
 		quotaRuns  = fs.Int("quota-queued-runs", 0, "per-tenant cap on queued runs (0 = unlimited)")
 		quotaConc  = fs.Int("quota-concurrency", 0, "per-tenant cap on concurrent workers (0 = uncapped)")
-		quotaBytes = fs.Int64("quota-journal-bytes", 0, "per-tenant durable journal budget in bytes (0 = unlimited)")
+		quotaBytes = fs.Int64("quota-result-bytes", 0, "per-tenant budget of stored-result bytes its campaigns received (0 = unlimited)")
 		degradeAt  = fs.Int("degrade-queued-runs", 0, "service-wide backlog above which new campaigns run with capped fan-out groups (0 = never degrade)")
 		degradeCap = fs.Int("degraded-max-group", 4, "fan-out group cap applied to degraded admissions")
-		resStore   = fs.String("result-store", "", "cross-tenant content-addressed result store: dir[,MiB budget] (empty = off)")
+		resStore   = fs.String("result-store", "", "result store, the campaigns' durable record shared by every tenant: dir[,MiB budget] (empty = <data>/results, unlimited)")
 	)
 	chaos := fault.Flag(fs)
 	if err := fs.Parse(args); err != nil {
@@ -300,24 +312,25 @@ func Main(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	// An unusable result store is a degradation, not a startup failure:
-	// the service runs every campaign uncached.
-	var resultStore *rstore.Store
+	dir, budget := filepath.Join(*data, "results"), int64(0)
 	if *resStore != "" {
-		dir, budget, err := rstore.ParseFlag(*resStore)
-		if err != nil {
+		var err error
+		if dir, budget, err = rstore.ParseFlag(*resStore); err != nil {
 			logf("%v", err)
 			return 2
 		}
-		resultStore, err = rstore.Open(rstore.Options{Dir: dir, BudgetBytes: budget, Logf: logf})
-		if err != nil {
-			logf("result store unavailable, running uncached: %v", err)
-		} else {
-			defer resultStore.Close()
-			st := resultStore.Stats()
-			logf("result store %s: %d entries under %s (%d bytes)", dir, st.Entries, st.Fingerprint, st.Bytes)
-		}
 	}
+	// The result store is the campaigns' durable record: without it no
+	// campaign survives a crash, so a store that will not open stops the
+	// service.
+	resultStore, err := rstore.Open(rstore.Options{Dir: dir, BudgetBytes: budget, Logf: logf})
+	if err != nil {
+		logf("result store: %v", err)
+		return 1
+	}
+	defer resultStore.Close()
+	st := resultStore.Stats()
+	logf("result store %s: %d entries under %s (%d bytes)", dir, st.Entries, st.Fingerprint, st.Bytes)
 
 	s, err := New(Config{
 		DataDir:    *data,
@@ -329,7 +342,7 @@ func Main(args []string, stdout, stderr io.Writer) int {
 		Quotas: Quotas{
 			MaxQueuedRuns:     *quotaRuns,
 			MaxConcurrent:     *quotaConc,
-			JournalBytes:      *quotaBytes,
+			ResultBytes:       *quotaBytes,
 			DegradeQueuedRuns: *degradeAt,
 			DegradedMaxGroup:  *degradeCap,
 		},

@@ -18,10 +18,12 @@ type Quotas struct {
 	// MaxConcurrent caps how many pool workers the tenant's runs may
 	// occupy simultaneously (enforced by the pool's tenant cap).
 	MaxConcurrent int
-	// JournalBytes caps the tenant's total durable-journal footprint; a
-	// submission from a tenant over budget is refused 429 until its
-	// finished campaigns are deleted or compacted below the line.
-	JournalBytes int64
+	// ResultBytes caps the stored-result bytes the tenant's campaigns
+	// have received — the store record sizes of their results, however
+	// cheaply each was served; a submission from a tenant over budget is
+	// refused 429 until its finished campaigns are deleted below the
+	// line.
+	ResultBytes int64
 	// DegradeQueuedRuns is the service-wide soft limit: when the whole
 	// pool's pending-run backlog exceeds it, new campaigns are still
 	// admitted but with their fan-out groups capped at DegradedMaxGroup
@@ -54,20 +56,20 @@ type load struct {
 	// submitting tenant and for the whole service.
 	tenantQueued int64
 	totalQueued  int64
-	// tenantJournalBytes is the tenant's durable-store footprint.
-	tenantJournalBytes int64
+	// tenantResultBytes is the tenant's stored-result charge.
+	tenantResultBytes int64
 	// runsPerSec is the service's observed completion rate, for
 	// Retry-After estimation; 0 when nothing has completed yet.
 	runsPerSec float64
 }
 
-// journalRetryAfter is the fixed Retry-After for journal-budget
-// refusals. Queue drain never frees journal bytes — only deleting
-// finished campaigns does — so deriving the header from the completion
-// rate would promise a retry that cannot succeed. A flat one-minute
-// poll is honest: it assumes nothing about drain, just "check back
-// after you've deleted something".
-const journalRetryAfter = time.Minute
+// resultRetryAfter is the fixed Retry-After for result-budget refusals.
+// Queue drain never frees result bytes — only deleting finished
+// campaigns does — so deriving the header from the completion rate
+// would promise a retry that cannot succeed. A flat one-minute poll is
+// honest: it assumes nothing about drain, just "check back after you've
+// deleted something".
+const resultRetryAfter = time.Minute
 
 // retryEstimate guesses how long until backlog runs have drained at
 // rate, clamped to [1s, 10m] so the header is always actionable: a cold
@@ -110,14 +112,14 @@ func decide(q Quotas, l load, runs int) decision {
 			retryAfter: retryEstimate(need, l.runsPerSec),
 		}
 	}
-	if q.JournalBytes > 0 && l.tenantJournalBytes > q.JournalBytes {
-		// Deliberately NOT retryEstimate: journal bytes are freed by
+	if q.ResultBytes > 0 && l.tenantResultBytes > q.ResultBytes {
+		// Deliberately NOT retryEstimate: result bytes are freed by
 		// deleting campaigns, not by queue drain, so a drain-derived
 		// estimate would be a promise the service cannot keep.
 		return decision{
 			status:     429,
-			reason:     fmt.Sprintf("tenant journal budget exceeded: %d bytes stored > %d (delete finished campaigns)", l.tenantJournalBytes, q.JournalBytes),
-			retryAfter: journalRetryAfter,
+			reason:     fmt.Sprintf("tenant result budget exceeded: %d bytes received > %d (delete finished campaigns)", l.tenantResultBytes, q.ResultBytes),
+			retryAfter: resultRetryAfter,
 		}
 	}
 	d := decision{admit: true}

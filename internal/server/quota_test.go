@@ -9,7 +9,7 @@ import (
 // TestQuotaDecideBoundaries table-tests the pure admission policy at
 // its exact edges: a submission that precisely fills MaxQueuedRuns is
 // admitted, one run more is refused; degradation triggers strictly
-// above DegradeQueuedRuns, not at it; and the journal-budget refusal
+// above DegradeQueuedRuns, not at it; and the result-budget refusal
 // carries the fixed Retry-After rather than a drain-derived estimate
 // that could never come true.
 func TestQuotaDecideBoundaries(t *testing.T) {
@@ -43,26 +43,26 @@ func TestQuotaDecideBoundaries(t *testing.T) {
 			retryAfter: time.Second, // need=1 at 1 run/s, floor-clamped
 		},
 		{
-			name:       "journal budget over refuses with fixed honest Retry-After",
-			q:          Quotas{JournalBytes: 1000},
-			l:          load{tenantJournalBytes: 1001},
+			name:       "fixed Retry-After when over result budget",
+			q:          Quotas{ResultBytes: 1000},
+			l:          load{tenantResultBytes: 1001},
 			runs:       1,
 			status:     429,
 			reason:     "delete finished campaigns",
-			retryAfter: journalRetryAfter,
+			retryAfter: resultRetryAfter,
 		},
 		{
 			// The pre-fix bug: a huge tenant backlog at a slow measured
 			// rate produced a 10-minute drain estimate for a condition
 			// that drain cannot clear. The header must not depend on
 			// queue state at all.
-			name:       "journal Retry-After independent of queue backlog",
-			q:          Quotas{JournalBytes: 1000},
-			l:          load{tenantJournalBytes: 2000, tenantQueued: 100000, runsPerSec: 0.5},
+			name:       "result Retry-After independent of queue backlog",
+			q:          Quotas{ResultBytes: 1000},
+			l:          load{tenantResultBytes: 2000, tenantQueued: 100000, runsPerSec: 0.5},
 			runs:       1,
 			status:     429,
 			reason:     "delete finished campaigns",
-			retryAfter: journalRetryAfter,
+			retryAfter: resultRetryAfter,
 		},
 		{
 			name:  "degradation threshold exactly met stays full-fanout",
@@ -92,7 +92,7 @@ func TestQuotaDecideBoundaries(t *testing.T) {
 		{
 			name:  "unlimited quotas admit anything",
 			q:     Quotas{},
-			l:     load{tenantQueued: 1 << 40, tenantJournalBytes: 1 << 50, totalQueued: 1 << 40},
+			l:     load{tenantQueued: 1 << 40, tenantResultBytes: 1 << 50, totalQueued: 1 << 40},
 			runs:  1 << 20,
 			admit: true,
 		},

@@ -1,11 +1,13 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -13,25 +15,6 @@ import (
 	"repro/internal/runner"
 	"repro/internal/telemetry"
 )
-
-// journalSnap is a journal's bytes and modification time.
-type journalSnap struct {
-	data []byte
-	mod  time.Time
-}
-
-func snapJournal(t *testing.T, path string) journalSnap {
-	t.Helper()
-	fi, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return journalSnap{data: data, mod: fi.ModTime()}
-}
 
 // waitIdle waits for every campaign goroutine of s to return.
 func waitIdle(t *testing.T, s *Server) {
@@ -48,28 +31,6 @@ func waitIdle(t *testing.T, s *Server) {
 	}
 }
 
-// isCompacted reports whether the journal at path is already in its
-// compacted form: compacting a copy of it changes no byte.
-func isCompacted(t *testing.T, path string) bool {
-	t.Helper()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp := filepath.Join(t.TempDir(), "copy.journal")
-	if err := os.WriteFile(cp, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := runner.CompactJournal(cp); err != nil {
-		t.Fatal(err)
-	}
-	again, err := os.ReadFile(cp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return bytes.Equal(data, again)
-}
-
 // resultsByIndex renders each streamed result as JSON, by result index.
 func resultsByIndex(t *testing.T, events []resultEvent) map[int]string {
 	t.Helper()
@@ -84,25 +45,60 @@ func resultsByIndex(t *testing.T, events []resultEvent) map[int]string {
 	return out
 }
 
-// TestServeRestartLeavesFinishedJournalsAlone checks a finished
-// campaign's journal is compacted once, as the campaign finishes, and
-// never again: two restarts over the same data directory keep every
-// finished journal's bytes and modification time, compact nothing and
-// resume nothing.
-func TestServeRestartLeavesFinishedJournalsAlone(t *testing.T) {
+// segments concatenates a result store's segment files.
+func segments(t *testing.T, dir string) string {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "seg-*.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Write(data)
+	}
+	return b.String()
+}
+
+// metaJSON renders campaign id's manifest record.
+func metaJSON(t *testing.T, st *Store, id string) string {
+	t.Helper()
+	m, ok := st.Get(id)
+	if !ok {
+		t.Fatalf("campaign %s missing from the manifest", id)
+	}
+	b, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestServeRestartLeavesFinishedCampaignsAlone checks a finished
+// campaign is finished for good: two restarts over the same data
+// directory resume nothing, write nothing to the result store and keep
+// every finished campaign's manifest record — a canceled campaign's
+// included, which records exactly the two results it received.
+func TestServeRestartLeavesFinishedCampaignsAlone(t *testing.T) {
 	dir := t.TempDir()
 	s, ts := newTestServer(t, Config{Workers: 1, DataDir: dir, NoFanout: true})
 	done := submitOK(t, ts, "alice", tinySpec())
 	waitState(t, ts, done.ID, StateDone)
 
-	// A canceled campaign with journaled work: the first two runs
+	// A canceled campaign with stored work: the first two runs
 	// complete, the third hangs until the owner's cancel is in, and the
 	// rest observe the canceled context.
 	if err := fault.Apply("seed=1;worker.hang:every=1,after=2,limit=1"); err != nil {
 		t.Fatal(err)
 	}
 	defer fault.Disable()
-	canceled := submitOK(t, ts, "bob", tinySpec(0.05, 0.1, 0.3, 0.5, 0.7))
+	// Its own seed keeps it from sharing a stored run with alice's.
+	bobSpec := tinySpec(0.05, 0.1, 0.3, 0.5, 0.7)
+	bobSpec.Seed = 2
+	canceled := submitOK(t, ts, "bob", bobSpec)
 	deadline := time.Now().Add(60 * time.Second)
 	for fault.Snapshot()[fault.SiteWorkerHang].Fires == 0 {
 		if time.Now().After(deadline) {
@@ -125,45 +121,43 @@ func TestServeRestartLeavesFinishedJournalsAlone(t *testing.T) {
 	s.Close()
 	ts.Close()
 
-	want := map[string]journalSnap{}
+	want := map[string]string{}
 	for _, id := range []string{done.ID, canceled.ID} {
-		path := s.Store().JournalPath(id)
-		if !isCompacted(t, path) {
-			t.Fatalf("campaign %s finished with an uncompacted journal", id)
-		}
-		want[id] = snapJournal(t, path)
+		want[id] = metaJSON(t, s.Store(), id)
 	}
-	if n := bytes.Count(want[canceled.ID].data, []byte("\n")); n != 2 {
-		t.Fatalf("canceled campaign journaled %d runs, want 2", n)
+	if m, _ := s.Store().Get(canceled.ID); m.Results != 2 {
+		t.Fatalf("canceled campaign received %d results, want 2", m.Results)
 	}
+	stored := segments(t, filepath.Join(dir, "results"))
 
-	compactions := telemetry.Server.AutoCompactions.Load()
 	for restart := 1; restart <= 2; restart++ {
+		before := telemetry.StoreSnapshot()
 		s2, _ := newTestServer(t, Config{Workers: 1, DataDir: dir})
 		if n := s2.Resume(); n != 0 {
 			t.Fatalf("restart %d resumed %d campaigns, want 0", restart, n)
 		}
 		waitIdle(t, s2)
 		s2.Close()
+		if d := telemetry.StoreSnapshot()["puts"] - before["puts"]; d != 0 {
+			t.Fatalf("restart %d stored %d results, want 0", restart, d)
+		}
 		for id, w := range want {
-			got := snapJournal(t, s2.Store().JournalPath(id))
-			if !bytes.Equal(got.data, w.data) || !got.mod.Equal(w.mod) {
-				t.Fatalf("restart %d rewrote the journal of finished campaign %s", restart, id)
+			if got := metaJSON(t, s2.Store(), id); got != w {
+				t.Fatalf("restart %d rewrote finished campaign %s:\n got %s\nwant %s", restart, id, got, w)
 			}
 		}
-		if got := telemetry.Server.AutoCompactions.Load(); got != compactions {
-			t.Fatalf("restart %d compacted %d journals, want 0", restart, got-compactions)
+		if segments(t, filepath.Join(dir, "results")) != stored {
+			t.Fatalf("restart %d rewrote the result store", restart)
 		}
 	}
 }
 
 // TestChaosServerFinalStateLostResumes stalls and then fails finalize's
-// terminal-state write. During the stall the journal is already
-// compacted; after the failure the manifest keeps the campaign active
-// over that compacted journal. A restart resumes it with nothing left
-// to run — every result comes back from the journal, none is simulated
-// again — and the campaign ends done with a stream identical to the
-// live one.
+// terminal-state write. During the stall every result is already in the
+// result store; after the failure the manifest keeps the campaign
+// active. A restart resumes it with every run already stored — every
+// result comes back from the store, none is simulated or stored again —
+// and the campaign ends done with a stream identical to the live one.
 func TestChaosServerFinalStateLostResumes(t *testing.T) {
 	dir := t.TempDir()
 	s, ts := newTestServer(t, Config{Workers: 2, DataDir: dir})
@@ -173,9 +167,8 @@ func TestChaosServerFinalStateLostResumes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fault.Disable()
-	compactions := telemetry.Server.AutoCompactions.Load()
-	st := submitOK(t, ts, "alice", tinySpec())
-	path := s.Store().JournalPath(st.ID)
+	spec := tinySpec()
+	st := submitOK(t, ts, "alice", spec)
 	deadline := time.Now().Add(60 * time.Second)
 	for fault.Snapshot()[fault.SiteServerManifest].Fires == 0 {
 		if time.Now().After(deadline) {
@@ -183,8 +176,14 @@ func TestChaosServerFinalStateLostResumes(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if got := telemetry.Server.AutoCompactions.Load(); got != compactions+1 || !isCompacted(t, path) {
-		t.Fatal("the terminal state write started before the journal was compacted")
+	for _, cfg := range spec.Configs() {
+		key, err := runner.ConfigKey(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.cfg.ResultStore.Size(key) == 0 {
+			t.Fatalf("the terminal state write started before run %s was stored", key[:8])
+		}
 	}
 	live, final := streamResults(t, ts, st.ID)
 	if len(live) != 3 || final == nil {
@@ -199,12 +198,16 @@ func TestChaosServerFinalStateLostResumes(t *testing.T) {
 	if !ok || meta.State != StateActive {
 		t.Fatalf("lost final write left state %q, want %q", meta.State, StateActive)
 	}
-	if got := telemetry.Server.AutoCompactions.Load(); got != compactions+1 {
-		t.Fatalf("finalize compacted %d journals, want 1", got-compactions)
-	}
-	compacted := snapJournal(t, path)
 
-	s2, ts2 := newTestServer(t, Config{Workers: 2, DataDir: dir})
+	var mu sync.Mutex
+	var lines []string
+	logf := func(format string, args ...any) {
+		mu.Lock()
+		lines = append(lines, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}
+	before := telemetry.StoreSnapshot()
+	s2, ts2 := newTestServer(t, Config{Workers: 2, DataDir: dir, Logf: logf})
 	if n := s2.Resume(); n != 1 {
 		t.Fatalf("resumed %d campaigns, want 1", n)
 	}
@@ -213,13 +216,22 @@ func TestChaosServerFinalStateLostResumes(t *testing.T) {
 	if n := s2.completed.Load(); n != 0 {
 		t.Fatalf("resume simulated %d runs again, want 0", n)
 	}
+	if d := telemetry.StoreSnapshot()["puts"] - before["puts"]; d != 0 {
+		t.Fatalf("resume stored %d results again, want 0", d)
+	}
+	mu.Lock()
+	log := strings.Join(lines, "\n")
+	mu.Unlock()
+	if !strings.Contains(log, "resume: 3 of 3 runs already stored") {
+		t.Fatalf("resume did not report every run stored:\n%s", log)
+	}
 	resumed, final2 := streamResults(t, ts2, st.ID)
 	if final2 == nil || final2["state"] != string(StateDone) {
 		t.Fatalf("resumed stream final line %v, want state %q", final2, StateDone)
 	}
 	for _, ev := range resumed {
-		if !ev.FromJournal {
-			t.Errorf("resumed result %d not from the journal", ev.Index)
+		if !ev.FromStore {
+			t.Errorf("resumed result %d not from the store", ev.Index)
 		}
 	}
 	want, got := resultsByIndex(t, live), resultsByIndex(t, resumed)
@@ -230,8 +242,5 @@ func TestChaosServerFinalStateLostResumes(t *testing.T) {
 		if got[i] != w {
 			t.Fatalf("result %d differs between the live and the resumed stream", i)
 		}
-	}
-	if again := snapJournal(t, path); !bytes.Equal(again.data, compacted.data) {
-		t.Fatal("re-finalizing changed the compacted journal's bytes")
 	}
 }

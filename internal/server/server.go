@@ -17,8 +17,7 @@ import (
 // Config tunes one Server. Zero values mean: GOMAXPROCS workers, no
 // quotas, no per-run deadline, no retries, fan-out on.
 type Config struct {
-	// DataDir roots the durable store (manifest + per-campaign
-	// journals). Required.
+	// DataDir roots the campaign manifest. Required.
 	DataDir string
 	// Workers sizes the shared pool; <= 0 means GOMAXPROCS.
 	Workers int
@@ -32,13 +31,15 @@ type Config struct {
 	// NoFanout disables one-decode fan-out groups (they are on by
 	// default: the service exists to run big sweeps cheaply).
 	NoFanout bool
-	// ResultStore, when non-nil, is the cross-tenant content-addressed
-	// result store shared by every campaign: identical configs
-	// submitted by any tenants are computed once — finished results hit
-	// the store, concurrent duplicates collapse onto one in-flight
-	// computation — while each campaign still journals and streams its
-	// own copy. Per-tenant admission quotas are unchanged: a tenant's
-	// journal bytes count what its campaigns received, however cheaply.
+	// ResultStore is the campaigns' durable record, shared by every
+	// campaign of every tenant. Required. A computed run is stored
+	// before it is streamed, a restarted campaign finds its finished
+	// runs there, and identical configs submitted by any tenants are
+	// computed once — finished results hit the store, concurrent
+	// duplicates collapse onto one in-flight computation — while each
+	// campaign still streams its own copy. Per-tenant admission quotas
+	// are unchanged: a tenant's result bytes count what its campaigns
+	// received, however cheaply. The caller opens and closes it.
 	ResultStore *rstore.Store
 	// Logf receives service and campaign log lines; nil means silent.
 	Logf func(format string, args ...any)
@@ -49,16 +50,20 @@ type resultEvent struct {
 	// Index is the run's position in the spec's canonical config order.
 	Index int    `json:"index"`
 	Key   string `json:"key"`
-	// FromJournal marks a result replayed from the resume journal
-	// (after a reconnect or a server restart) rather than computed now.
-	FromJournal bool        `json:"from_journal,omitempty"`
-	Result      *sim.Result `json:"result"`
+	// FromStore marks a result served from the result store — stored
+	// earlier by any campaign, this one before a restart included —
+	// rather than computed by this campaign.
+	FromStore bool        `json:"from_store,omitempty"`
+	Result    *sim.Result `json:"result"`
 }
 
-// campaign is one live campaign: its durable record, its in-memory
+// campaign is one live campaign: its manifest record, its in-memory
 // result log (the stream replay buffer), and its cancellation handle.
 type campaign struct {
 	meta CampaignMeta
+	// resultBytes sums the store record sizes of the results received
+	// so far: the campaign's live quota charge.
+	resultBytes atomic.Int64
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -73,11 +78,18 @@ type campaign struct {
 
 // record is the orchestrator's OnResult hook: append to the stream
 // replay buffer and wake every attached stream.
-func (c *campaign) record(index int, key string, res *sim.Result, fromJournal bool) {
+func (c *campaign) record(index int, key string, res *sim.Result, fromStore bool) {
 	c.mu.Lock()
-	c.events = append(c.events, resultEvent{Index: index, Key: key, FromJournal: fromJournal, Result: res})
+	c.events = append(c.events, resultEvent{Index: index, Key: key, FromStore: fromStore, Result: res})
 	c.mu.Unlock()
 	c.cond.Broadcast()
+}
+
+// received counts the results recorded so far.
+func (c *campaign) received() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.events)
 }
 
 // finish marks the stream complete with the campaign's final state.
@@ -90,8 +102,8 @@ func (c *campaign) finish(state CampaignState) {
 	close(c.done)
 }
 
-// Server is the campaign service: durable store + shared pool + the
-// live-campaign table the HTTP API fronts.
+// Server is the campaign service: manifest + result store + shared pool
+// + the live-campaign table the HTTP API fronts.
 type Server struct {
 	cfg   Config
 	store *Store
@@ -106,14 +118,17 @@ type Server struct {
 
 	wg        sync.WaitGroup // one per live campaign goroutine
 	start     time.Time
-	completed atomic.Int64 // runs completed since start, for Retry-After rate
+	completed atomic.Int64 // runs computed since start, for Retry-After rate
 }
 
-// New opens the durable store and starts the shared pool. The server
-// does not resume or listen yet: call Resume, then serve Handler.
+// New opens the manifest and starts the shared pool. The server does
+// not resume or listen yet: call Resume, then serve Handler.
 func New(cfg Config) (*Server, error) {
 	if cfg.DataDir == "" {
 		return nil, fmt.Errorf("server: DataDir is required")
+	}
+	if cfg.ResultStore == nil {
+		return nil, fmt.Errorf("server: ResultStore is required")
 	}
 	store, err := OpenStore(cfg.DataDir)
 	if err != nil {
@@ -132,7 +147,7 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Store exposes the durable store (read paths for the HTTP API).
+// Store exposes the campaign manifest (read paths for the HTTP API).
 func (s *Server) Store() *Store { return s.store }
 
 func (s *Server) logf(format string, args ...any) {
@@ -142,11 +157,10 @@ func (s *Server) logf(format string, args ...any) {
 }
 
 // Resume reloads the manifest and relaunches every active campaign —
-// checkpointed by a drain or cut off by a crash — against its journal,
-// so a restart resumes exactly the runs that never completed. Finished
-// campaigns are left alone: finalize compacted each one's journal
-// before persisting its terminal state, so there is nothing left to
-// tidy. Returns how many campaigns were resumed.
+// checkpointed by a drain or cut off by a crash. Its stored runs come
+// back as admission-time store hits, so a restart runs exactly the runs
+// that never completed. Finished campaigns are left alone. Returns how
+// many campaigns were resumed.
 func (s *Server) Resume() int {
 	resumed := 0
 	for _, m := range s.store.Campaigns() {
@@ -158,11 +172,31 @@ func (s *Server) Resume() int {
 		c := s.track(m)
 		s.mu.Unlock()
 		telemetry.Server.ResumedCampaigns.Add(1)
-		s.logf("restart: resuming campaign %s (%s, %d runs) from its journal", m.ID, m.Tenant, m.Runs)
+		s.logf("restart: resuming campaign %s (%s, %d runs)", m.ID, m.Tenant, m.Runs)
+		s.logf("campaign %s: resume: %d of %d runs already stored", m.ID, s.storedRuns(m.Spec), m.Runs)
 		s.launch(c)
 		resumed++
 	}
 	return resumed
+}
+
+// storedRuns counts the runs of spec whose results the result store
+// holds where a campaign of spec looks for them.
+func (s *Server) storedRuns(spec SweepSpec) int {
+	n := 0
+	for _, cfg := range spec.Configs() {
+		key, err := runner.ConfigKey(cfg)
+		if err != nil {
+			continue
+		}
+		for _, k := range runner.RecordKeys(cfg, key, spec.Sample) {
+			if s.cfg.ResultStore.Size(k) > 0 {
+				n++
+				break
+			}
+		}
+	}
+	return n
 }
 
 // track registers a campaign in the live table (caller holds s.mu) and
@@ -186,7 +220,7 @@ func (s *Server) queuedLocked() (perTenant map[string]int64, total int64) {
 	for id, c := range s.campaigns {
 		rem := int64(c.meta.Runs)
 		if snap, ok := telemetry.CampaignProgress(id); ok {
-			rem = snap.Total - snap.Completed - snap.Failed - snap.FromJournal
+			rem = snap.Total - snap.Completed - snap.Failed
 			if rem < 0 {
 				rem = 0
 			}
@@ -206,6 +240,22 @@ func (s *Server) runsPerSec() float64 {
 	return float64(s.completed.Load()) / el
 }
 
+// resultBytesLocked is tenant's stored-result quota charge: the
+// persisted bytes of its finished campaigns plus the in-memory bytes of
+// its live ones (caller holds s.mu).
+func (s *Server) resultBytesLocked(tenant string) int64 {
+	total := s.store.TenantResultBytes(tenant, func(id string) bool {
+		_, live := s.campaigns[id]
+		return live
+	})
+	for _, c := range s.campaigns {
+		if c.meta.Tenant == tenant {
+			total += c.resultBytes.Load()
+		}
+	}
+	return total
+}
+
 // admit applies admission control to one submission and, when it
 // passes, durably records and launches the campaign. The returned
 // decision carries refusal details (status, reason, Retry-After)
@@ -222,10 +272,10 @@ func (s *Server) admit(tenant string, spec SweepSpec) (CampaignMeta, decision, e
 	}
 	perTenant, total := s.queuedLocked()
 	d := decide(s.cfg.Quotas, load{
-		tenantQueued:       perTenant[tenant],
-		totalQueued:        total,
-		tenantJournalBytes: s.store.TenantJournalBytes(tenant),
-		runsPerSec:         s.runsPerSec(),
+		tenantQueued:      perTenant[tenant],
+		totalQueued:       total,
+		tenantResultBytes: s.resultBytesLocked(tenant),
+		runsPerSec:        s.runsPerSec(),
 	}, runs)
 	if !d.admit {
 		s.mu.Unlock()
@@ -283,7 +333,6 @@ func (s *Server) launch(c *campaign) {
 			Retries:     s.cfg.Retries,
 			Backoff:     s.cfg.Backoff,
 			StallGrace:  s.cfg.StallGrace,
-			Journal:     s.store.JournalPath(c.meta.ID),
 			Logf:        s.campaignLogf(c.meta.ID),
 			Fanout:      !s.cfg.NoFanout,
 			FanMaxGroup: c.meta.FanMaxGroup,
@@ -293,11 +342,12 @@ func (s *Server) launch(c *campaign) {
 			Weight:      c.meta.Weight,
 			CampaignID:  c.meta.ID,
 			Store:       s.cfg.ResultStore,
-			OnResult: func(index int, key string, res *sim.Result, fromJournal bool) {
-				if !fromJournal {
+			OnResult: func(index int, key string, res *sim.Result, fromStore bool) {
+				if !fromStore {
 					s.completed.Add(1)
 				}
-				c.record(index, key, res, fromJournal)
+				c.resultBytes.Add(s.cfg.ResultStore.Size(runner.RecordKey(key, res)))
+				c.record(index, key, res, fromStore)
 			},
 		})
 		out, err := orc.RunAll(cctx, cfgs)
@@ -315,17 +365,14 @@ func (s *Server) campaignLogf(id string) func(string, ...any) {
 	}
 }
 
-// finalize classifies a finished campaign run, compacts the journal of
-// any terminal campaign, persists its terminal state (or leaves it
-// active, uncompacted, when a drain checkpointed it), retires it from
-// the live table, and releases the stream. Compaction comes first, so a
-// terminal state in the manifest implies a compacted journal (unless
-// compaction itself failed, which is logged): a crash between the two
-// leaves the campaign active, and the next start resumes it with
-// nothing left to run and finalizes it again. The state
-// is persisted before the campaign leaves the live table: a stream that
-// connects in between is served from the manifest, which must already
-// hold the final state.
+// finalize classifies a finished campaign run, persists its terminal
+// state with the results it received (or leaves it active when a drain
+// checkpointed it), retires it from the live table, and releases the
+// stream. A lost terminal-state write leaves the campaign active, and
+// the next start resumes it with every run already stored and finalizes
+// it again. The state is persisted before the campaign leaves the live
+// table: a stream that connects in between is served from the manifest,
+// which must already hold the final state.
 func (s *Server) finalize(c *campaign, cctx context.Context, out *runner.Outcome, err error) {
 	id := c.meta.ID
 	canceled, hard := 0, 0
@@ -346,11 +393,11 @@ func (s *Server) finalize(c *campaign, cctx context.Context, out *runner.Outcome
 	var msg string
 	switch {
 	case err != nil:
-		// Campaign-level fault: the journal itself was unusable.
+		// A campaign-level fault.
 		state, msg = StateFailed, err.Error()
 	case draining && canceled > 0 && hard == 0 && !c.userCanceled.Load():
-		// Drain checkpoint: the shed runs stay pending in the journal
-		// and the manifest stays active, so the next start resumes them.
+		// Drain checkpoint: the shed runs stay unstored and the
+		// manifest stays active, so the next start resumes them.
 		s.logf("campaign %s: checkpointed by drain with %d runs pending; will resume on restart", id, canceled)
 		s.retire(id)
 		c.finish(StateActive)
@@ -365,15 +412,10 @@ func (s *Server) finalize(c *campaign, cctx context.Context, out *runner.Outcome
 		state = StateDone
 	}
 
-	if cerr := s.store.CompactCampaign(id); cerr != nil {
-		// Compaction is an optimisation: an uncompacted journal still
-		// loads, so the terminal state is persisted regardless.
-		s.logf("campaign %s: auto-compacting journal: %v", id, cerr)
-	}
-	if serr := s.store.SetState(id, state, msg); serr != nil {
+	if serr := s.store.SetState(id, state, msg, c.received(), c.resultBytes.Load()); serr != nil {
 		// The state transition will be retried by the next restart's
-		// classification (an active manifest entry with a complete
-		// journal resumes to an immediate re-finalize).
+		// classification (an active manifest entry whose runs are all
+		// stored resumes to an immediate re-finalize).
 		s.logf("campaign %s: persisting final state %s: %v", id, state, serr)
 	}
 	s.retire(id)
@@ -430,10 +472,11 @@ func (s *Server) Draining() bool {
 
 // Drain is the graceful-shutdown contract: stop admitting (every later
 // submission gets 503), shed the pool's queued runs back to their
-// campaigns' journals, let in-flight runs finish and checkpoint, and
+// campaigns, let in-flight runs finish and store their results, and
 // wait for every campaign goroutine to persist its outcome — or for
-// ctx to expire, whichever is first. Journals are fsynced per append,
-// so at Drain's return every completed run is on stable storage.
+// ctx to expire, whichever is first. Every computed result is fsynced
+// into the result store before it is streamed, so at Drain's return
+// every completed run is on stable storage.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	already := s.draining

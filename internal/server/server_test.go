@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -50,6 +51,10 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = t.Logf
+	}
+	if cfg.ResultStore == nil {
+		// pinted's default: the result store under the data directory.
+		cfg.ResultStore = openTestStore(t, filepath.Join(cfg.DataDir, "results"))
 	}
 	s, err := New(cfg)
 	if err != nil {
@@ -184,11 +189,13 @@ func streamResults(t *testing.T, ts *httptest.Server, id string) ([]resultEvent,
 }
 
 // TestServeCampaignLifecycle walks the happy path end to end: submit,
-// stream live results, finish done, auto-compact, and replay the
-// complete stream from the journal on reconnect with identical results.
+// stream live results, finish done with the results it received in the
+// manifest, and replay the complete stream from the result store on
+// reconnect with identical results. The data directory then holds the
+// manifest and the store, and nothing else.
 func TestServeCampaignLifecycle(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2})
-	compactions := telemetry.Server.AutoCompactions.Load()
+	dir := t.TempDir()
+	_, ts := newTestServer(t, Config{Workers: 2, DataDir: dir})
 
 	spec := tinySpec()
 	st := submitOK(t, ts, "alice", spec)
@@ -203,12 +210,12 @@ func TestServeCampaignLifecycle(t *testing.T) {
 	if final == nil || final["state"] != string(StateDone) {
 		t.Fatalf("live stream final line %v, want done/%s", final, StateDone)
 	}
-	waitState(t, ts, st.ID, StateDone)
-	if got := telemetry.Server.AutoCompactions.Load(); got == compactions {
-		t.Error("clean completion did not auto-compact the journal")
+	done := waitState(t, ts, st.ID, StateDone)
+	if done.Results != 3 || done.ResultBytes <= 0 {
+		t.Fatalf("finished campaign recorded %d results of %d bytes, want 3 of some", done.Results, done.ResultBytes)
 	}
 
-	// Reconnect after completion: the stream replays from the journal.
+	// Reconnect after completion: the stream replays from the store.
 	replay, final2 := streamResults(t, ts, st.ID)
 	if len(replay) != 3 || final2 == nil || final2["state"] != string(StateDone) {
 		t.Fatalf("replay stream: %d results, final %v", len(replay), final2)
@@ -218,19 +225,31 @@ func TestServeCampaignLifecycle(t *testing.T) {
 		liveByKey[ev.Key] = fingerprint(t, ev.Result)
 	}
 	for _, ev := range replay {
-		if !ev.FromJournal {
-			t.Errorf("replayed result %s not marked from_journal", ev.Key)
+		if !ev.FromStore {
+			t.Errorf("replayed result %s not marked from_store", ev.Key)
 		}
 		if liveByKey[ev.Key] != fingerprint(t, ev.Result) {
-			t.Errorf("result %s diverged between live stream and journal replay", ev.Key)
+			t.Errorf("result %s diverged between live stream and store replay", ev.Key)
 		}
+	}
+
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	if strings.Join(names, " ") != "manifest.json results" {
+		t.Fatalf("data directory holds %v, want only the manifest and the result store", names)
 	}
 }
 
 // TestServeSampledCampaign runs a campaign submitted with
 // "sample": true end to end: the profiling pre-pass and every run flow
 // through the shared pool, each streamed result carries its sampling
-// stats and error bounds, and the journal replay preserves them.
+// stats and error bounds, and the store replay preserves them.
 func TestServeSampledCampaign(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
 	spec := tinySpec()
@@ -254,7 +273,7 @@ func TestServeSampledCampaign(t *testing.T) {
 	replay, _ := streamResults(t, ts, st.ID)
 	for _, ev := range replay {
 		if ev.Result.Sampled == nil {
-			t.Errorf("journal replay of %s lost its sampling stats", ev.Key)
+			t.Errorf("store replay of %s lost its sampling stats", ev.Key)
 		}
 	}
 }
@@ -353,24 +372,19 @@ func TestServeQuotaQueuedRuns(t *testing.T) {
 	waitState(t, ts, first.ID, StateDone)
 }
 
-// TestServeQuotaJournalBytes checks the durable-footprint quota: a
-// tenant whose stored journals exceed the budget is refused until they
-// are deleted.
-func TestServeQuotaJournalBytes(t *testing.T) {
-	s, ts := newTestServer(t, Config{
+// TestServeQuotaResultBytes checks the stored-result quota: a tenant
+// whose finished campaigns received more result bytes than its budget is
+// refused until they are deleted.
+func TestServeQuotaResultBytes(t *testing.T) {
+	_, ts := newTestServer(t, Config{
 		Workers: 2,
-		Quotas:  Quotas{JournalBytes: 1},
+		Quotas:  Quotas{ResultBytes: 1},
 	})
-	// Seed a finished campaign with a journal on disk for alice.
-	meta := CampaignMeta{
-		ID: NewID(), Tenant: "alice", Spec: tinySpec().normalized(),
-		State: StateDone, Runs: 3, Weight: 1, Created: time.Now().UTC(),
-	}
-	if err := s.Store().Put(meta); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(s.Store().JournalPath(meta.ID), []byte("x\n"), 0o644); err != nil {
-		t.Fatal(err)
+	// Alice's first campaign is admitted with nothing received yet, and
+	// finishes charged the bytes of its three stored results.
+	first := submitOK(t, ts, "alice", tinySpec())
+	if done := waitState(t, ts, first.ID, StateDone); done.ResultBytes <= 1 {
+		t.Fatalf("finished campaign charged %d result bytes, want its stored records' size", done.ResultBytes)
 	}
 
 	resp := submit(t, ts, "alice", tinySpec(0.5))
@@ -380,7 +394,7 @@ func TestServeQuotaJournalBytes(t *testing.T) {
 	}
 
 	// Deleting the finished campaign frees the budget.
-	req, _ := http.NewRequest("DELETE", ts.URL+"/v1/campaigns/"+meta.ID, nil)
+	req, _ := http.NewRequest("DELETE", ts.URL+"/v1/campaigns/"+first.ID, nil)
 	dresp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -557,7 +571,7 @@ func TestSweepSpecConfigsMatchCLI(t *testing.T) {
 
 // TestQuotaDecide unit-tests the pure admission policy.
 func TestQuotaDecide(t *testing.T) {
-	q := Quotas{MaxQueuedRuns: 10, JournalBytes: 1000, DegradeQueuedRuns: 20, DegradedMaxGroup: 3}
+	q := Quotas{MaxQueuedRuns: 10, ResultBytes: 1000, DegradeQueuedRuns: 20, DegradedMaxGroup: 3}
 
 	if d := decide(q, load{}, 5); !d.admit || d.degraded {
 		t.Errorf("idle service: %+v, want plain admit", d)
@@ -565,8 +579,8 @@ func TestQuotaDecide(t *testing.T) {
 	if d := decide(q, load{tenantQueued: 8, runsPerSec: 2}, 5); d.admit || d.status != 429 || d.retryAfter < time.Second {
 		t.Errorf("over queue quota: %+v, want 429 with Retry-After", d)
 	}
-	if d := decide(q, load{tenantJournalBytes: 2000}, 5); d.admit || d.status != 429 {
-		t.Errorf("over journal budget: %+v, want 429", d)
+	if d := decide(q, load{tenantResultBytes: 2000}, 5); d.admit || d.status != 429 {
+		t.Errorf("over result budget: %+v, want 429", d)
 	}
 	if d := decide(q, load{totalQueued: 18}, 5); !d.admit || !d.degraded || d.fanMaxGroup != 3 {
 		t.Errorf("over degrade line: %+v, want degraded admit with cap 3", d)

@@ -2,9 +2,11 @@
 // end that accepts sweep specifications (the same normalized sim.Config
 // campaigns pintesweep builds), runs them on one shared bounded worker
 // pool under weighted fair scheduling and per-tenant quotas, streams
-// per-run results, and survives crashes — every campaign checkpoints to
-// a durable per-campaign journal, and a restarted server reloads its
-// manifest and resumes every unfinished campaign from where it stopped.
+// per-run results, and survives crashes — every computed run is stored
+// in the content-addressed result store (internal/store) before it is
+// streamed, and a restarted server reloads its manifest and resumes
+// every unfinished campaign from where it stopped, its stored runs
+// served as store hits.
 package server
 
 import (
@@ -39,15 +41,16 @@ type SweepSpec struct {
 	Weight int `json:"weight,omitempty"`
 	// DeadlineSeconds bounds the whole campaign's wall-clock time; 0
 	// means no campaign deadline. An expired deadline cancels the
-	// campaign's remaining runs (completed runs stay journaled).
+	// campaign's remaining runs (completed runs stay stored).
 	DeadlineSeconds float64 `json:"deadline_seconds,omitempty"`
 	// Sample runs the campaign under phase-aware representative
 	// sampling (runner.Options.Sample): one profiling pre-pass per
 	// workload, then only the clustered representative windows are
 	// simulated per run, with extrapolation error bounds reported in
-	// each result's "sampled" block. Approximate by design; results are
-	// not byte-comparable with an unsampled campaign, so do not toggle
-	// it across resubmissions of the same campaign ID.
+	// each result's "sampled" block. Approximate by design: sampled
+	// results are stored under their own key, so an unsampled campaign
+	// never receives one, while a sampled one also takes a stored
+	// full-fidelity result where there is one.
 	Sample bool `json:"sample,omitempty"`
 }
 
@@ -117,7 +120,7 @@ func (s SweepSpec) Validate() error {
 // canonical order: one isolation baseline per workload first, then the
 // PInTE grid — workload-major, point-minor. The order is part of the
 // contract: result indices on the stream refer to it, and a resumed
-// campaign must rebuild the identical list to match its journal keys.
+// campaign must rebuild the identical list to find its stored runs.
 func (s SweepSpec) Configs() []sim.Config {
 	n := s.normalized()
 	var cfgs []sim.Config

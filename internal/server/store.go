@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/fault"
-	"repro/internal/runner"
 	"repro/internal/telemetry"
 )
 
@@ -24,11 +23,9 @@ type CampaignState string
 const (
 	// StateActive marks a campaign the scheduler owns — queued,
 	// running, or checkpointed by a drain/crash. A restarted server
-	// resumes every active campaign from its journal.
+	// relaunches every active campaign; its stored runs are store hits.
 	StateActive CampaignState = "active"
-	// StateDone marks a campaign whose every run completed. Like every
-	// terminal state below, finalize persists it only after compacting
-	// the campaign's journal (or logging why it could not).
+	// StateDone marks a campaign whose every run completed.
 	StateDone CampaignState = "done"
 	// StateFailed marks a campaign that finished with hard failures.
 	StateFailed CampaignState = "failed"
@@ -56,6 +53,12 @@ type CampaignMeta struct {
 	// fan-group cap it ran with, so a resume keeps the same grouping.
 	Degraded    bool `json:"degraded,omitempty"`
 	FanMaxGroup int  `json:"fan_max_group,omitempty"`
+	// Results counts the results a finished campaign received, computed
+	// or from the result store; ResultBytes sums their store record
+	// sizes, the tenant's stored-result quota charge. Both are persisted
+	// with the terminal state; a live campaign counts them in memory.
+	Results     int   `json:"results,omitempty"`
+	ResultBytes int64 `json:"result_bytes,omitempty"`
 }
 
 // manifest is the durable index of every campaign the service has
@@ -64,12 +67,13 @@ type manifest struct {
 	Campaigns map[string]*CampaignMeta `json:"campaigns"`
 }
 
-// Store is the service's durable state: a manifest.json plus one resume
-// journal per campaign under journals/. Manifest writes are atomic
-// (temp + fsync + rename + directory sync) and roll back in memory on
-// failure, so the in-memory view never claims durability it doesn't
-// have — a crash at any instant leaves either the old manifest or the
-// new one.
+// Store is the service's campaign manifest: manifest.json, mapping each
+// campaign to its spec and state. The campaigns' results live in the
+// result store (internal/store), keyed by config, not here. Manifest
+// writes are atomic (temp + fsync + rename + directory sync) and roll
+// back in memory on failure, so the in-memory view never claims
+// durability it doesn't have — a crash at any instant leaves either the
+// old manifest or the new one.
 type Store struct {
 	mu  sync.Mutex
 	dir string
@@ -81,9 +85,9 @@ type Store struct {
 	enc *json.Encoder
 }
 
-// OpenStore opens (creating if needed) the durable store rooted at dir.
+// OpenStore opens (creating if needed) the manifest rooted at dir.
 func OpenStore(dir string) (*Store, error) {
-	if err := os.MkdirAll(filepath.Join(dir, "journals"), 0o755); err != nil {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	st := &Store{dir: dir, m: manifest{Campaigns: make(map[string]*CampaignMeta)}}
@@ -105,11 +109,6 @@ func OpenStore(dir string) (*Store, error) {
 }
 
 func (st *Store) manifestPath() string { return filepath.Join(st.dir, "manifest.json") }
-
-// JournalPath is where campaign id checkpoints its completed runs.
-func (st *Store) JournalPath(id string) string {
-	return filepath.Join(st.dir, "journals", id+".journal")
-}
 
 // NewID mints a fresh campaign ID.
 func NewID() string {
@@ -187,9 +186,10 @@ func (st *Store) Put(meta CampaignMeta) error {
 	return nil
 }
 
-// SetState transitions a campaign's durable state (with rollback on a
-// failed write) and stamps Finished for terminal states.
-func (st *Store) SetState(id string, state CampaignState, errMsg string) error {
+// SetState transitions a campaign's durable state together with the
+// results it received and their stored bytes (with rollback on a failed
+// write), and stamps Finished for terminal states.
+func (st *Store) SetState(id string, state CampaignState, errMsg string, results int, resultBytes int64) error {
 	// Chaos: the manifest site armed with a delay is a slow disk. It
 	// stalls the transition before it takes the lock, so readers still
 	// see the prior state for the whole stall.
@@ -205,6 +205,7 @@ func (st *Store) SetState(id string, state CampaignState, errMsg string) error {
 	old := *cur
 	cur.State = state
 	cur.Error = errMsg
+	cur.Results, cur.ResultBytes = results, resultBytes
 	if state != StateActive {
 		cur.Finished = time.Now().UTC()
 	} else {
@@ -217,8 +218,10 @@ func (st *Store) SetState(id string, state CampaignState, errMsg string) error {
 	return nil
 }
 
-// Delete removes a campaign's manifest record and journal. Only
-// finished campaigns should be deleted; the caller enforces that.
+// Delete removes a campaign's manifest record, releasing its quota
+// charge; its results stay in the result store for any campaign that
+// asks for them again. Only finished campaigns should be deleted; the
+// caller enforces that.
 func (st *Store) Delete(id string) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -229,9 +232,6 @@ func (st *Store) Delete(id string) error {
 	delete(st.m.Campaigns, id)
 	if err := st.saveLocked(); err != nil {
 		st.m.Campaigns[id] = old
-		return err
-	}
-	if err := os.Remove(st.JournalPath(id)); err != nil && !errors.Is(err, os.ErrNotExist) {
 		return err
 	}
 	return nil
@@ -265,36 +265,17 @@ func (st *Store) Campaigns() []CampaignMeta {
 	return out
 }
 
-// TenantJournalBytes sums a tenant's durable-journal footprint for the
-// quota check.
-func (st *Store) TenantJournalBytes(tenant string) int64 {
+// TenantResultBytes sums the persisted ResultBytes of tenant's
+// campaigns, skipping those live reports true for: a live campaign
+// counts its bytes in memory.
+func (st *Store) TenantResultBytes(tenant string, live func(id string) bool) int64 {
 	st.mu.Lock()
-	ids := make([]string, 0, len(st.m.Campaigns))
-	for id, m := range st.m.Campaigns {
-		if m.Tenant == tenant {
-			ids = append(ids, id)
-		}
-	}
-	st.mu.Unlock()
+	defer st.mu.Unlock()
 	var total int64
-	for _, id := range ids {
-		if fi, err := os.Stat(st.JournalPath(id)); err == nil {
-			total += fi.Size()
+	for id, m := range st.m.Campaigns {
+		if m.Tenant == tenant && !live(id) {
+			total += m.ResultBytes
 		}
 	}
 	return total
-}
-
-// CompactCampaign compacts one campaign's journal in place (atomic
-// rewrite), counting the auto-compaction. A missing journal — a
-// campaign that never completed a run — is not an error.
-func (st *Store) CompactCampaign(id string) error {
-	_, err := runner.CompactJournal(st.JournalPath(id))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err == nil {
-		telemetry.Server.AutoCompactions.Add(1)
-	}
-	return err
 }

@@ -1,18 +1,21 @@
 package server
 
 import (
+	"io"
+	"net/http"
 	"sort"
+	"strings"
 	"testing"
 
 	rstore "repro/internal/store"
 	"repro/internal/telemetry"
 )
 
-// openTestStore opens a result store in a temp dir under a test
-// fingerprint and hands it to the caller's Config.
-func openTestStore(t *testing.T) *rstore.Store {
+// openTestStore opens a result store in dir under a test fingerprint
+// and hands it to the caller's Config.
+func openTestStore(t *testing.T, dir string) *rstore.Store {
 	t.Helper()
-	st, err := rstore.Open(rstore.Options{Dir: t.TempDir(), Fingerprint: "sim-test", Logf: t.Logf})
+	st, err := rstore.Open(rstore.Options{Dir: dir, Fingerprint: "sim-test", Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +46,7 @@ func byIndex(t *testing.T, events []resultEvent) []string {
 // The store put count is the proof of single execution: one Put per
 // distinct config, regardless of how the two campaigns raced.
 func TestServeDuplicateTenantsComputeOnce(t *testing.T) {
-	st := openTestStore(t)
+	st := openTestStore(t, t.TempDir())
 	_, ts := newTestServer(t, Config{Workers: 2, ResultStore: st})
 
 	spec := tinySpec(0.05, 0.3, 0.7) // 4 distinct configs (3 points + baseline)
@@ -121,5 +124,49 @@ func TestServeStoreAcrossRestart(t *testing.T) {
 	}
 	if d := after["puts"] - before["puts"]; d != 0 {
 		t.Fatalf("puts delta = %d, want 0 (nothing recomputed)", d)
+	}
+}
+
+// TestServeFinishedStreamGoneWhenResultsEvicted: a finished campaign
+// whose results a tiny-budget store has since evicted answers its
+// results URL with 410 Gone, naming how many results are missing,
+// instead of a silently partial stream; the resubmission gets back what
+// is still stored and recomputes the rest.
+func TestServeFinishedStreamGoneWhenResultsEvicted(t *testing.T) {
+	// One record per segment and a one-byte budget: every append evicts
+	// every segment but the one being written.
+	st, err := rstore.Open(rstore.Options{Dir: t.TempDir(), Fingerprint: "sim-test", BudgetBytes: 1, SegmentBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	_, ts := newTestServer(t, Config{Workers: 1, ResultStore: st})
+
+	first := submitOK(t, ts, "alice", tinySpec())
+	if done := waitState(t, ts, first.ID, StateDone); done.Results != 3 {
+		t.Fatalf("finished campaign received %d results, want 3", done.Results)
+	}
+	resp, err := http.Get(ts.URL + "/v1/campaigns/" + first.ID + "/results")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusGone {
+		t.Fatalf("results of an evicted campaign: status %d (%s), want 410", resp.StatusCode, body)
+	}
+	if !strings.Contains(string(body), "2 of the campaign's 3 results") {
+		t.Fatalf("410 body %q does not name the 2 missing results", body)
+	}
+
+	before := telemetry.StoreSnapshot()
+	again := submitOK(t, ts, "alice", tinySpec())
+	events, final := streamResults(t, ts, again.ID)
+	if len(events) != 3 || final == nil || final["state"] != string(StateDone) {
+		t.Fatalf("resubmission streamed %d results (final %v), want all 3", len(events), final)
+	}
+	after := telemetry.StoreSnapshot()
+	if hits, puts := after["hits"]-before["hits"], after["puts"]-before["puts"]; hits != 1 || puts != 2 {
+		t.Fatalf("resubmission hit %d and stored %d, want the 1 surviving result hit and 2 recomputed", hits, puts)
 	}
 }

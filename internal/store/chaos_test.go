@@ -8,8 +8,8 @@ import (
 )
 
 // TestChaosStoreOpen: an injected open failure yields a typed error and
-// the open_errors counter — the caller's contract is to log it and run
-// without a cache, never to fail the campaign.
+// the open_errors counter, so the caller can refuse to run a campaign
+// whose durable record is unavailable.
 func TestChaosStoreOpen(t *testing.T) {
 	fault.Enable(1)
 	defer fault.Disable()
@@ -32,7 +32,7 @@ func TestChaosStoreOpen(t *testing.T) {
 }
 
 // TestChaosStoreAppend: an injected append failure is typed and
-// counted, loses only the cache entry, and leaves the store serving —
+// counted, loses only that record, and leaves the store serving —
 // earlier entries still hit and later appends still land.
 func TestChaosStoreAppend(t *testing.T) {
 	fault.Enable(1)
@@ -99,5 +99,45 @@ func TestChaosStoreRead(t *testing.T) {
 	}
 	if _, ok := s.Get(fakeKey(0)); !ok {
 		t.Fatal("re-put after read fault missed")
+	}
+}
+
+// TestChaosStoreAppendPartial: an append that dies mid-record is typed
+// and counted, later appends land in a fresh segment instead of being
+// glued onto the debris, and the next open trims the torn record as a
+// benign torn tail — every other record survives.
+func TestChaosStoreAppendPartial(t *testing.T) {
+	fault.Enable(1)
+	defer fault.Disable()
+	dir := t.TempDir()
+	s := openT(t, Options{Dir: dir, Fingerprint: "sim-test"})
+	if err := s.Put(fakeKey(0), fakeResult(0)); err != nil {
+		t.Fatal(err)
+	}
+	fault.Set(fault.SiteStoreAppendPartial, fault.Spec{Every: 1, Limit: 1})
+	diff := storeDelta()
+	if err := s.Put(fakeKey(1), fakeResult(1)); !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("err = %v, want wrapped fault.ErrInjected", err)
+	}
+	if d := diff(); d["put_errors"] != 1 || d["puts"] != 0 {
+		t.Fatalf("delta = %v, want put_errors=1 puts=0", d)
+	}
+	if err := s.Put(fakeKey(2), fakeResult(2)); err != nil {
+		t.Fatalf("append after a torn one: %v", err)
+	}
+	if st := s.Stats(); st.Segments != 2 {
+		t.Fatalf("segments = %d, want the torn one retired and a fresh one written", st.Segments)
+	}
+	s.Close()
+
+	diff = storeDelta()
+	s2 := openT(t, Options{Dir: dir, Fingerprint: "sim-test"})
+	if d := diff(); d["torn_tails"] != 1 || d["corrupt_records"] != 0 {
+		t.Fatalf("reopen delta = %v, want torn_tails=1 corrupt_records=0", d)
+	}
+	for i, want := range []bool{true, false, true} {
+		if _, ok := s2.Get(fakeKey(i)); ok != want {
+			t.Fatalf("record %d stored = %v after reopen, want %v", i, ok, want)
+		}
 	}
 }

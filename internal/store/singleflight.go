@@ -44,11 +44,10 @@ var testWaitHook func()
 // of them becomes the next leader) rather than inheriting the failure.
 //
 // Do does not write the store; the leader's compute persists the result
-// itself (journal first, then Put, then Publish) so durability ordering
-// matches the campaign journal and waiters only ever receive a result
-// that is already stored. A result compute did not publish is handed to
-// the waiters when compute returns. On a nil store Do degrades to
-// calling compute.
+// itself (Put, then Publish), so waiters only ever receive a result that
+// is already stored. A result compute did not publish is handed to the
+// waiters when compute returns. On a nil store Do degrades to calling
+// compute.
 func (s *Store) Do(ctx context.Context, key string, compute func() (*sim.Result, error)) (*sim.Result, Via, error) {
 	if s == nil {
 		res, err := compute()
@@ -58,7 +57,7 @@ func (s *Store) Do(ctx context.Context, key string, compute func() (*sim.Result,
 		// The store may have gained the entry since the caller's initial
 		// lookup (a leader finished and Put); misses here are not counted
 		// — the caller already counted its original miss.
-		if res, ok := s.get(key, false); ok {
+		if res, ok := s.Lookup(key); ok {
 			return res, ViaHit, nil
 		}
 		s.fmu.Lock()

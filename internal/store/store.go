@@ -1,19 +1,25 @@
 // Package store is the durable, cross-campaign, content-addressed
-// result store: every completed simulation result is kept on disk keyed
-// by (simulator fingerprint, normalized-config SHA-256), so any run
-// ever computed — by any campaign, binary, or pinted tenant sharing the
-// store directory — is a cache hit instead of a recomputation.
+// result store, and the only durable record of a campaign's results:
+// every completed simulation result is kept on disk keyed by (simulator
+// fingerprint, store key), so any run ever computed — by any campaign,
+// binary, or pinted tenant sharing the store directory — is a hit
+// instead of a recomputation, and a crashed or interrupted campaign
+// resumes by finding its finished runs here. The store key of a
+// full-fidelity result is its normalized-config SHA-256
+// (runner.ConfigKey); a phase-sampled approximation is filed under a
+// separate key (runner.SampledKey), so it is never served as a
+// full-fidelity result.
 //
-// Layout. Results are CRC-framed records (the resume journal's
-// `!<crc32c> <json>` framing) in append-only segment files
-// (seg-<seq>.seg) under one directory, plus a small meta.json carrying
-// the segment sequence counter and the LRU clock, written with the
-// write-temp→fsync→rename discipline of server.Store. There is no
+// Layout. Results are CRC-framed records (`!<crc32c> <json>` lines) in
+// append-only segment files (seg-<seq>.seg) under one directory, plus a
+// small meta.json carrying the segment sequence counter and the LRU
+// clock, written with the write-temp→fsync→rename discipline of the
+// service manifest. Each Put is one write and one fsync. There is no
 // persistent index: the in-memory index is rebuilt by scanning the
-// segments on open (no mmap), with LoadJournal's corruption contract —
-// a torn final record (crash mid-append) is trimmed benignly, a corrupt
-// record anywhere else is skipped and counted while everything after it
-// still loads.
+// segments on open (no mmap). The scan's corruption contract: a torn
+// final record — the incomplete line a crash or a failed append leaves —
+// is benign and trimmed, a corrupt record anywhere else is skipped and
+// counted, and every intact record after it is still indexed.
 //
 // Staleness. Each record embeds the simulator fingerprint of the build
 // that wrote it. Only records matching the opening build's fingerprint
@@ -26,11 +32,12 @@
 // The currently-writing segment and any segment with an in-flight
 // reader are never evicted.
 //
-// Failure policy. The store degrades to compute-without-cache, it
-// never fails a run: an unreadable store opens as empty or not at all
-// (the caller runs uncached), a failed append loses only the cache
-// entry, and a failed or corrupt read-back counts, drops the index
-// entry and reports a miss.
+// Failure policy. The store never fails a run: a failed append is
+// returned to the caller, whose run already succeeded (the campaign
+// keeps the result and reports the lost record), and a failed or
+// corrupt read-back counts, drops the index entry and reports a miss, so
+// the caller recomputes. An append that may have left partial bytes
+// retires its segment from writing; the next open trims them.
 package store
 
 import (
@@ -50,7 +57,7 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Record framing, shared with the resume journal:
+// Record framing:
 //
 //	!<8 hex chars of crc32c(payload)> <payload JSON>\n
 const (
@@ -142,7 +149,7 @@ type Store struct {
 // Open opens (or creates) the store rooted at opts.Dir, rebuilding the
 // index from the segment files. A corrupt record is skipped and
 // counted; a torn final record is trimmed. Open failures are counted in
-// the open_errors expvar so callers can degrade to running uncached.
+// the open_errors expvar.
 func Open(opts Options) (*Store, error) {
 	s, err := open(opts)
 	if err != nil {
@@ -198,8 +205,7 @@ func open(opts Options) (*Store, error) {
 		if lh, ok := m.LastHit[seg.name]; ok {
 			seg.lastHit = lh
 		}
-		last := path == names[len(names)-1]
-		if err := s.scanSegment(seg, last); err != nil {
+		if err := s.scanSegment(seg); err != nil {
 			return nil, err
 		}
 		s.segs = append(s.segs, seg)
@@ -227,9 +233,10 @@ func open(opts Options) (*Store, error) {
 
 // scanSegment rebuilds seg's index contribution. Records under other
 // fingerprints are counted stale and kept un-indexed; corrupt records
-// are skipped and counted; a torn tail on the final segment is trimmed
-// so the next append starts on a clean line boundary.
-func (s *Store) scanSegment(seg *segment, last bool) error {
+// are skipped and counted; a torn tail — an incomplete final line, which
+// only a crash or a failed append leaves — is trimmed, so the segment
+// ends on a clean line boundary.
+func (s *Store) scanSegment(seg *segment) error {
 	f, err := os.Open(seg.path)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
@@ -237,9 +244,7 @@ func (s *Store) scanSegment(seg *segment, last bool) error {
 	defer f.Close()
 	r := bufio.NewReaderSize(f, 256<<10)
 	var off int64
-	// lastBad remembers a trailing failed record so it can be
-	// reclassified as a benign torn tail instead of corruption.
-	lastBad := false
+	torn := false
 	goodEnd := int64(0)
 	for {
 		line, err := r.ReadBytes('\n')
@@ -253,8 +258,8 @@ func (s *Store) scanSegment(seg *segment, last bool) error {
 		}
 		var rec record
 		if !complete || parseRecord(line, &rec) != nil || rec.Key == "" || rec.Result == nil {
-			if last && (err != nil || !complete) {
-				lastBad = true
+			if !complete {
+				torn = true
 			} else {
 				telemetry.StoreC.CorruptRecords.Add(1)
 			}
@@ -272,13 +277,12 @@ func (s *Store) scanSegment(seg *segment, last bool) error {
 		}
 		off += int64(n)
 		goodEnd = off
-		lastBad = false
 		if err != nil {
 			break
 		}
 	}
 	seg.size = off
-	if lastBad {
+	if torn {
 		telemetry.StoreC.TornTails.Add(1)
 		if err := os.Truncate(seg.path, goodEnd); err != nil {
 			return fmt.Errorf("store: trimming torn tail of %s: %w", seg.name, err)
@@ -325,33 +329,52 @@ func parseRecord(line []byte, rec *record) error {
 // reader active while evictions run.
 var testReadHook func()
 
-// Get returns the stored result for key under the current fingerprint.
-// A read-back failure (I/O or checksum) counts, drops the entry, and
-// reports a miss — the caller recomputes.
-func (s *Store) Get(key string) (*sim.Result, bool) {
-	return s.get(key, true)
+// Get returns the result stored under the first of keys that holds one
+// under the current fingerprint, counting one hit or one miss. A
+// read-back failure (I/O or checksum) counts, drops the entry, and
+// moves on to the next key — the caller recomputes when none is left.
+func (s *Store) Get(keys ...string) (*sim.Result, bool) {
+	return s.get(keys, true, true)
 }
 
-// Lookup is Get without miss accounting, for re-checks on paths whose
-// admission-time miss was already counted (the fan-out group start).
+// Lookup is Get of one key without miss accounting, for re-checks on
+// paths whose admission-time miss was already counted (the fan-out
+// group start).
 func (s *Store) Lookup(key string) (*sim.Result, bool) {
-	return s.get(key, false)
+	return s.get([]string{key}, true, false)
 }
 
-func (s *Store) get(key string, countMiss bool) (*sim.Result, bool) {
-	if s == nil {
-		if countMiss {
-			telemetry.StoreC.Misses.Add(1)
+// Peek is Get without hit or miss accounting, for reads that replay a
+// result rather than satisfy a run (a finished campaign's stream).
+func (s *Store) Peek(keys ...string) (*sim.Result, bool) {
+	return s.get(keys, false, false)
+}
+
+func (s *Store) get(keys []string, countHit, countMiss bool) (*sim.Result, bool) {
+	for _, key := range keys {
+		if res, ok := s.read(key); ok {
+			if countHit {
+				telemetry.StoreC.Hits.Add(1)
+			}
+			return res, true
 		}
+	}
+	if countMiss {
+		telemetry.StoreC.Misses.Add(1)
+	}
+	return nil, false
+}
+
+// read returns key's result, or false when key is not indexed or its
+// read-back fails.
+func (s *Store) read(key string) (*sim.Result, bool) {
+	if s == nil {
 		return nil, false
 	}
 	s.mu.Lock()
 	l, ok := s.index[key]
 	if !ok || s.closed {
 		s.mu.Unlock()
-		if countMiss {
-			telemetry.StoreC.Misses.Add(1)
-		}
 		return nil, false
 	}
 	seg := l.seg
@@ -376,13 +399,23 @@ func (s *Store) get(key string, countMiss bool) (*sim.Result, bool) {
 	if err != nil {
 		telemetry.StoreC.ReadErrors.Add(1)
 		s.logfSafe("store: reading %s from %s failed (recomputing): %v", key[:8], seg.name, err)
-		if countMiss {
-			telemetry.StoreC.Misses.Add(1)
-		}
 		return nil, false
 	}
-	telemetry.StoreC.Hits.Add(1)
 	return res, true
+}
+
+// Size returns the on-disk bytes of key's record under the current
+// fingerprint, newline included, or 0 when key is not stored.
+func (s *Store) Size(key string) int64 {
+	if s == nil {
+		return 0
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if l, ok := s.index[key]; ok {
+		return int64(l.n) + 1
+	}
+	return 0
 }
 
 // reader returns seg's lazily opened read handle (caller holds s.mu).
@@ -421,9 +454,10 @@ func readRecord(rd *os.File, rdErr error, l loc, key, fp string) (*sim.Result, e
 	return rec.Result, nil
 }
 
-// Put durably appends one result under the current fingerprint. An
-// append failure is counted and returned; the caller's run already
-// succeeded, so the only loss is the cache entry.
+// Put durably appends one result under the current fingerprint: one
+// write and one fsync. An append failure is counted and returned; the
+// caller's run already succeeded, so what is lost is the record, not
+// the result.
 func (s *Store) Put(key string, res *sim.Result) error {
 	if s == nil {
 		return nil
@@ -460,12 +494,23 @@ func (s *Store) put(key string, res *sim.Result) error {
 	}
 	seg := s.writing()
 	off := seg.size
+	if fault.Fires(fault.SiteStoreAppendPartial) {
+		// Simulated crash mid-append: half the record reaches the disk
+		// with no newline — the torn write a power loss produces, which
+		// the next open must trim as a benign torn tail.
+		s.w.Write(line[:len(line)/2]) //nolint:errcheck // injected crash
+		s.w.Sync()                    //nolint:errcheck
+		s.retireWriterLocked()
+		return fmt.Errorf("store: %w at %s", fault.ErrInjected, fault.SiteStoreAppendPartial)
+	}
 	if _, err := s.w.Write(append(line, '\n')); err != nil {
+		s.retireWriterLocked()
 		return fmt.Errorf("store: appending to %s: %w", seg.name, err)
 	}
-	// Push the record to stable storage, matching the journal's
-	// per-append durability.
+	// Push the record to stable storage, so a power loss, not just a
+	// process crash, preserves the completed run.
 	if err := s.w.Sync(); err != nil {
+		s.retireWriterLocked()
 		return fmt.Errorf("store: %w", err)
 	}
 	seg.size = off + int64(len(line)) + 1
@@ -480,6 +525,15 @@ func (s *Store) put(key string, res *sim.Result) error {
 // writing returns the current writing segment (caller holds s.mu; s.w
 // is non-nil).
 func (s *Store) writing() *segment { return s.segs[len(s.segs)-1] }
+
+// retireWriterLocked stops appending to the writing segment after a
+// failed append, which may have left part of a record behind: the next
+// Put starts a fresh segment, so no record is ever glued onto the
+// debris, and the next open trims it (caller holds s.mu).
+func (s *Store) retireWriterLocked() {
+	s.w.Close() //nolint:errcheck // the failed append is already reported
+	s.w = nil
+}
 
 // rollLocked closes the writing segment and starts the next one,
 // fsyncing the directory so the new file survives a power loss.

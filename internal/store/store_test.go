@@ -612,3 +612,44 @@ func TestSingleFlightPublishBeforeLeaderReturns(t *testing.T) {
 	}
 	release() // once-guarded
 }
+
+// TestGetPeekSizeAccounting: Get of several keys serves the first one
+// stored and counts exactly one hit or one miss, Peek counts neither,
+// and Size reports a stored record's bytes and 0 for an absent key.
+func TestGetPeekSizeAccounting(t *testing.T) {
+	s := openT(t, Options{Dir: t.TempDir(), Fingerprint: "sim-test"})
+	if err := s.Put(fakeKey(1), fakeResult(1)); err != nil {
+		t.Fatal(err)
+	}
+
+	diff := storeDelta()
+	res, ok := s.Get(fakeKey(0), fakeKey(1))
+	if !ok || res.Instrs != fakeResult(1).Instrs {
+		t.Fatalf("Get of an absent then a stored key = %v, %v", res, ok)
+	}
+	if _, ok := s.Get(fakeKey(0), fakeKey(2)); ok {
+		t.Fatal("Get of two absent keys hit")
+	}
+	if d := diff(); d["hits"] != 1 || d["misses"] != 1 {
+		t.Fatalf("delta = %v, want one hit and one miss", d)
+	}
+
+	diff = storeDelta()
+	if _, ok := s.Peek(fakeKey(1)); !ok {
+		t.Fatal("Peek missed a stored key")
+	}
+	if _, ok := s.Peek(fakeKey(0)); ok {
+		t.Fatal("Peek hit an absent key")
+	}
+	if d := diff(); d["hits"] != 0 || d["misses"] != 0 {
+		t.Fatalf("Peek counted: %v", d)
+	}
+
+	line := len(mustJSON(t, record{FP: "sim-test", Key: fakeKey(1), Result: fakeResult(1)}))
+	if got, want := s.Size(fakeKey(1)), int64(crcPrefixLen+line+1); got != want {
+		t.Fatalf("Size = %d, want %d (frame, payload and newline)", got, want)
+	}
+	if got := s.Size(fakeKey(0)); got != 0 {
+		t.Fatalf("Size of an absent key = %d, want 0", got)
+	}
+}

@@ -19,11 +19,6 @@ type DegradationCounters struct {
 	// switched to live regeneration because of one.
 	ReplayCorruptChunks atomic.Int64
 	ReplayFallbacks     atomic.Int64
-	// JournalLinesSkipped counts unusable journal lines dropped during a
-	// resume scan; JournalCRCFailures is the subset dropped because the
-	// line's checksum did not match its payload.
-	JournalLinesSkipped atomic.Int64
-	JournalCRCFailures  atomic.Int64
 	// StalledRuns counts wedged workers the watchdog abandoned with a
 	// typed ErrStalled instead of hanging the campaign.
 	StalledRuns atomic.Int64
@@ -37,8 +32,6 @@ func DegradedSnapshot() map[string]int64 {
 	return map[string]int64{
 		"replay_corrupt_chunks": Degraded.ReplayCorruptChunks.Load(),
 		"replay_fallbacks":      Degraded.ReplayFallbacks.Load(),
-		"journal_lines_skipped": Degraded.JournalLinesSkipped.Load(),
-		"journal_crc_failures":  Degraded.JournalCRCFailures.Load(),
 		"stalled_runs":          Degraded.StalledRuns.Load(),
 	}
 }

@@ -15,12 +15,10 @@ type Progress struct {
 	total int64
 	start time.Time
 
-	completed      atomic.Int64 // runs that finished and produced a result
-	failed         atomic.Int64 // runs that exhausted their attempts
-	retried        atomic.Int64 // retry attempts across all runs
-	fromJournal    atomic.Int64 // runs satisfied from the resume journal
-	journalSkipped atomic.Int64 // corrupt journal lines dropped on load
-	journalErrors  atomic.Int64 // journal-only failures (result kept, append lost)
+	completed    atomic.Int64 // runs that produced a result, computed or served from the store
+	failed       atomic.Int64 // runs that exhausted their attempts
+	retried      atomic.Int64 // retry attempts across all runs
+	recordErrors atomic.Int64 // record-only failures (result kept, store append lost)
 
 	// doneAt is set exactly once, when the campaign first accounts for
 	// every run. Snapshot clamps its clock to it so Elapsed and
@@ -44,7 +42,7 @@ func (p *Progress) noteDone() {
 	if p.doneAt.Load() != nil {
 		return
 	}
-	if p.completed.Load()+p.failed.Load()+p.fromJournal.Load() >= p.total {
+	if p.completed.Load()+p.failed.Load() >= p.total {
 		now := time.Now()
 		p.doneAt.CompareAndSwap(nil, &now)
 	}
@@ -59,26 +57,18 @@ func (p *Progress) RunFailed() { p.failed.Add(1); p.noteDone() }
 // Retried records one retry attempt.
 func (p *Progress) Retried() { p.retried.Add(1) }
 
-// FromJournal records n runs satisfied from the resume journal.
-func (p *Progress) FromJournal(n int) { p.fromJournal.Add(int64(n)); p.noteDone() }
-
-// JournalSkipped records n corrupt journal lines dropped during resume.
-func (p *Progress) JournalSkipped(n int) { p.journalSkipped.Add(int64(n)) }
-
-// JournalError records one journal-only failure: the run's result is
-// kept but its checkpoint append was lost.
-func (p *Progress) JournalError() { p.journalErrors.Add(1) }
+// RecordError records one record-only failure: the run's result is kept
+// but its store append was lost.
+func (p *Progress) RecordError() { p.recordErrors.Add(1) }
 
 // Snapshot is one consistent-enough view of a campaign (counters are
 // read individually; a heartbeat may straddle an update by one run).
 type Snapshot struct {
-	Total          int64
-	Completed      int64
-	Failed         int64
-	Retried        int64
-	FromJournal    int64
-	JournalSkipped int64
-	JournalErrors  int64
+	Total        int64
+	Completed    int64
+	Failed       int64
+	Retried      int64
+	RecordErrors int64
 
 	Elapsed    time.Duration
 	RunsPerSec float64
@@ -97,20 +87,18 @@ func (p *Progress) Snapshot(now time.Time) Snapshot {
 		now = *d
 	}
 	s := Snapshot{
-		Total:          p.total,
-		Completed:      p.completed.Load(),
-		Failed:         p.failed.Load(),
-		Retried:        p.retried.Load(),
-		FromJournal:    p.fromJournal.Load(),
-		JournalSkipped: p.journalSkipped.Load(),
-		JournalErrors:  p.journalErrors.Load(),
-		Elapsed:        now.Sub(p.start),
+		Total:        p.total,
+		Completed:    p.completed.Load(),
+		Failed:       p.failed.Load(),
+		Retried:      p.retried.Load(),
+		RecordErrors: p.recordErrors.Load(),
+		Elapsed:      now.Sub(p.start),
 	}
 	executed := s.Completed + s.Failed
 	if s.Elapsed > 0 && executed > 0 {
 		s.RunsPerSec = float64(executed) / s.Elapsed.Seconds()
 	}
-	remaining := s.Total - s.FromJournal - executed
+	remaining := s.Total - executed
 	if remaining > 0 && s.RunsPerSec > 0 {
 		s.ETA = time.Duration(float64(remaining) / s.RunsPerSec * float64(time.Second))
 	}
@@ -119,21 +107,18 @@ func (p *Progress) Snapshot(now time.Time) Snapshot {
 
 // Done reports whether every run is accounted for.
 func (s Snapshot) Done() bool {
-	return s.Completed+s.Failed+s.FromJournal >= s.Total
+	return s.Completed+s.Failed >= s.Total
 }
 
 // String renders the snapshot as one heartbeat line.
 func (s Snapshot) String() string {
 	line := fmt.Sprintf("progress: %d/%d done, %d failed",
-		s.Completed+s.FromJournal, s.Total, s.Failed)
+		s.Completed, s.Total, s.Failed)
 	if s.Retried > 0 {
 		line += fmt.Sprintf(", %d retried", s.Retried)
 	}
-	if s.FromJournal > 0 {
-		line += fmt.Sprintf(", %d from journal", s.FromJournal)
-	}
-	if s.JournalErrors > 0 {
-		line += fmt.Sprintf(", %d journal write failures", s.JournalErrors)
+	if s.RecordErrors > 0 {
+		line += fmt.Sprintf(", %d record write failures", s.RecordErrors)
 	}
 	if s.RunsPerSec > 0 {
 		line += fmt.Sprintf(", %.1f runs/s", s.RunsPerSec)

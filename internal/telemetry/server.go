@@ -37,16 +37,11 @@ type ServerCounters struct {
 	CampaignsDone     atomic.Int64
 	CampaignsFailed   atomic.Int64
 	CampaignsCanceled atomic.Int64
-	// ResumedCampaigns counts campaigns reloaded from the durable store
-	// on restart and resumed from their journals.
+	// ResumedCampaigns counts active campaigns relaunched from the
+	// manifest on restart; their stored runs come back as store hits.
 	ResumedCampaigns atomic.Int64
-	// AutoCompactions counts journals compacted automatically as their
-	// campaigns reach a terminal state (done, failed or canceled),
-	// before that state is persisted. A restart compacts no finished
-	// journal.
-	AutoCompactions atomic.Int64
 	// PoolShedTasks counts queued runs shed back to their campaigns
-	// (reported as ErrCanceled, journaled work untouched) by a drain.
+	// (reported as ErrCanceled, stored work untouched) by a drain.
 	PoolShedTasks atomic.Int64
 	// StreamWriteErrors counts result-stream writes toward clients that
 	// failed; the stream is aborted, the stored results are untouched
@@ -77,7 +72,6 @@ func ServerSnapshot() map[string]int64 {
 		"campaigns_failed":    Server.CampaignsFailed.Load(),
 		"campaigns_canceled":  Server.CampaignsCanceled.Load(),
 		"resumed_campaigns":   Server.ResumedCampaigns.Load(),
-		"auto_compactions":    Server.AutoCompactions.Load(),
 		"pool_shed_tasks":     Server.PoolShedTasks.Load(),
 		"stream_write_errors": Server.StreamWriteErrors.Load(),
 		"manifest_errors":     Server.ManifestErrors.Load(),

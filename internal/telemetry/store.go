@@ -16,8 +16,8 @@ type StoreCounters struct {
 	Hits   atomic.Int64
 	Misses atomic.Int64
 	// Puts counts results durably appended; PutErrors counts appends
-	// that failed (the run still succeeded — the store degrades to
-	// compute-without-cache, it never fails a run).
+	// that failed (the run still succeeded and keeps its result — the
+	// campaign reports a record-only failure, never a failed run).
 	Puts      atomic.Int64
 	PutErrors atomic.Int64
 	// ReadErrors counts hit read-backs that failed (I/O error or a
@@ -25,11 +25,11 @@ type StoreCounters struct {
 	// lookup degrades to a miss.
 	ReadErrors atomic.Int64
 	// CorruptRecords counts mid-segment records dropped during an open
-	// scan (bad JSON or a failed CRC), LoadJournal-style: the scan
-	// continues and every intact record after them still loads.
+	// scan (bad JSON or a failed CRC): the scan continues and every
+	// intact record after them still loads.
 	CorruptRecords atomic.Int64
-	// TornTails counts benign final-record truncations (a crash
-	// mid-append) trimmed away on open.
+	// TornTails counts benign final-record truncations (a crash or a
+	// failed append mid-record) trimmed away on open.
 	TornTails atomic.Int64
 	// StaleSkipped counts records seen at open whose simulator
 	// fingerprint differs from the current build: kept on disk for
@@ -38,8 +38,7 @@ type StoreCounters struct {
 	// Evictions / EvictedBytes tally byte-budget segment GC.
 	Evictions    atomic.Int64
 	EvictedBytes atomic.Int64
-	// OpenErrors counts store opens that failed; the caller proceeds
-	// without a cache.
+	// OpenErrors counts store opens that failed.
 	OpenErrors atomic.Int64
 	// SingleFlightShared counts runs that blocked on another campaign's
 	// in-flight computation of the same config and shared its result;

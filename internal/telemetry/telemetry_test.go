@@ -151,29 +151,28 @@ func TestCollectorRecordOverflowCoalesces(t *testing.T) {
 func TestProgressSnapshot(t *testing.T) {
 	start := time.Unix(0, 0)
 	p := NewProgress(10, start)
-	p.FromJournal(2)
 	for i := 0; i < 3; i++ {
 		p.RunCompleted()
 	}
 	p.RunFailed()
 	p.Retried()
-	p.JournalError()
+	p.RecordError()
 
 	s := p.Snapshot(start.Add(2 * time.Second))
-	if s.Total != 10 || s.Completed != 3 || s.Failed != 1 || s.FromJournal != 2 {
+	if s.Total != 10 || s.Completed != 3 || s.Failed != 1 || s.RecordErrors != 1 {
 		t.Fatalf("snapshot counters wrong: %+v", s)
 	}
 	if s.RunsPerSec != 2 { // 4 executed over 2s
 		t.Fatalf("RunsPerSec = %v, want 2", s.RunsPerSec)
 	}
-	if s.ETA != 2*time.Second { // 4 remaining at 2 runs/s
-		t.Fatalf("ETA = %v, want 2s", s.ETA)
+	if s.ETA != 3*time.Second { // 6 remaining at 2 runs/s
+		t.Fatalf("ETA = %v, want 3s", s.ETA)
 	}
 	if s.Done() {
-		t.Fatal("campaign reported done with 4 runs outstanding")
+		t.Fatal("campaign reported done with 6 runs outstanding")
 	}
 
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 6; i++ {
 		p.RunCompleted()
 	}
 	s = p.Snapshot(start.Add(4 * time.Second))
@@ -184,7 +183,7 @@ func TestProgressSnapshot(t *testing.T) {
 		t.Fatalf("done campaign has ETA %v", s.ETA)
 	}
 	line := s.String()
-	for _, want := range []string{"9/10 done", "1 failed", "1 retried", "2 from journal", "1 journal write failures"} {
+	for _, want := range []string{"9/10 done", "1 failed", "1 retried", "1 record write failures"} {
 		if !strings.Contains(line, want) {
 			t.Errorf("heartbeat %q missing %q", line, want)
 		}

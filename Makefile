@@ -35,8 +35,15 @@ fmt:
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
 
+# vet also keeps the metrics tree single: only internal/telemetry may
+# publish expvars (it serves every group under the one "pinte" key).
 vet:
 	$(GO) vet ./...
+	@stray=$$(grep -rlE --include='*.go' --exclude='*_test.go' \
+		'expvar\.(Publish|NewMap|NewInt)\(' . | grep -v '^\./internal/telemetry/'); \
+	if [ -n "$$stray" ]; then \
+		echo "expvar published outside internal/telemetry:"; echo "$$stray"; exit 1; \
+	fi
 
 build:
 	$(GO) build ./...
@@ -51,7 +58,7 @@ race:
 
 # Chaos suite: the fault-injection matrix, the randomized crash-recovery
 # property tests, the fuzzed corruption contract of the result store's
-# segment scan (FuzzLoadJournal's seeds) and the durability tests (a
+# segment scan (FuzzSegmentScan's seeds) and the durability tests (a
 # result is stored before it is streamed; a finished stream whose
 # results were evicted answers 410), race-enabled. Asserts every
 # injected fault yields a clean typed error or a correct degraded result
@@ -62,7 +69,7 @@ race:
 # fraction of the CPU that deadline assumes.
 chaos:
 	$(GO) test -race -count=1 -p 1 \
-		-run 'Chaos|Watchdog|Backoff|Compact|Corrupt|Evict|SourceSite|FuzzLoadJournal|StoredBefore|StreamGone|TestFault|TestParse|TestApply|TornTail' \
+		-run 'Chaos|Watchdog|Backoff|Compact|Corrupt|Evict|SourceSite|FuzzSegmentScan|StoredBefore|StreamGone|TestFault|TestParse|TestApply|TornTail' \
 		./internal/fault/... ./internal/runner/... ./internal/replay/... \
 		./internal/server/... ./internal/store/...
 

@@ -11,8 +11,9 @@
 // re-running only the missing configs.
 //
 // With -progress the campaign logs periodic heartbeats (completed,
-// failed, run rate, ETA) to stderr; the same live snapshot is served as
-// expvar "pinte.campaign" under -debug's /debug/vars endpoint.
+// failed, run rate, ETA) to stderr; the same live snapshot is served in
+// the campaigns group of the "pinte" metrics tree (the "" slot) under
+// -debug's /debug/vars endpoint.
 //
 // Usage:
 //

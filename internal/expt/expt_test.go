@@ -1,9 +1,11 @@
 package expt
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
+	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -101,9 +103,9 @@ func TestMemoKeyAdHocSpecByContent(t *testing.T) {
 	cfg := r.Iso("453.povray")
 	cfg.WorkloadSpec = &spec
 
-	before := r.key(cfg)
+	before := memoKey(t, cfg)
 	spec.MemFrac += 0.01 // mutate through the same pointer
-	if after := r.key(cfg); after == before {
+	if after := memoKey(t, cfg); after == before {
 		t.Fatal("memo key ignored an in-place spec mutation (pointer keying)")
 	}
 
@@ -111,7 +113,7 @@ func TestMemoKeyAdHocSpecByContent(t *testing.T) {
 	clone := spec
 	cfg2 := cfg
 	cfg2.WorkloadSpec = &clone
-	if r.key(cfg) != r.key(cfg2) {
+	if memoKey(t, cfg) != memoKey(t, cfg2) {
 		t.Fatal("identical ad-hoc specs at different addresses keyed differently")
 	}
 	a, err := r.Get(cfg)
@@ -124,6 +126,51 @@ func TestMemoKeyAdHocSpecByContent(t *testing.T) {
 	}
 	if a != b {
 		t.Fatal("identical ad-hoc specs did not share a memo entry")
+	}
+}
+
+// memoKey is the key the runner memoizes cfg under.
+func memoKey(t *testing.T, cfg sim.Config) string {
+	t.Helper()
+	k, err := runner.ConfigKey(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k
+}
+
+// resultJSON is a result's identity with its wall time removed.
+func resultJSON(t *testing.T, r *sim.Result) string {
+	t.Helper()
+	cp := *r
+	cp.WallTime = 0
+	b, err := json.Marshal(&cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestMemoKeyCoversWholeConfig: configs that differ only in their core
+// timing get distinct memo entries, each byte-equal to running the
+// config alone.
+func TestMemoKeyCoversWholeConfig(t *testing.T) {
+	r := NewRunner(micro())
+	iso := r.Iso("470.lbm")
+	wide := iso
+	wide.CPU.MLP = 8
+	for _, cfg := range []sim.Config{iso, wide} {
+		got, err := r.Get(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := sim.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resultJSON(t, got) != resultJSON(t, want) {
+			t.Fatalf("MLP=%d: memoized IPC %v, sim.Run gives %v", cfg.CPU.MLP, got.IPC, want.IPC)
+		}
 	}
 }
 

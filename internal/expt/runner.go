@@ -21,11 +21,14 @@ const replayBudget = 1 << 30
 
 // Runner executes simulations for the experiment generators, memoizing
 // results so experiments that share runs (the PInTE sweep feeds Table II,
-// Fig 6, Fig 7, Fig 8 and Fig 9) pay for them once. Batches go through
-// the fault-tolerant orchestrator (internal/runner), so one crashing
-// simulation surfaces as a structured error instead of killing the
-// process, and cancelling the runner's context (SIGINT in pintereport)
-// stops a campaign between runs. Safe for concurrent use.
+// Fig 6, Fig 7, Fig 8 and Fig 9) pay for them once. The memo is keyed
+// by runner.ConfigKey, the config identity the result store also uses,
+// so two configs share an entry exactly when they would produce the same
+// result. Batches go through the fault-tolerant orchestrator
+// (internal/runner), so one crashing simulation surfaces as a structured
+// error instead of killing the process, and cancelling the runner's
+// context (SIGINT in pintereport) stops a campaign between runs. Safe
+// for concurrent use.
 //
 // Runs additionally share a stream record/replay cache: every config
 // that reuses a (workload, seed) pair — all twelve P_Induce points of a
@@ -42,8 +45,8 @@ type Runner struct {
 	// the in-process memo becomes a warm layer over it — memo misses
 	// consult (and batch completions populate) the store through the
 	// orchestrator, so a repeated experiment costs nothing even across
-	// process restarts. Memo traffic is folded into the same expvar
-	// ("pinte.store") as the store's own counters.
+	// process restarts. Memo traffic is counted in the metrics tree's
+	// store group beside the store's own counters.
 	Store *store.Store
 
 	ctx  context.Context
@@ -69,36 +72,6 @@ func (r *Runner) WithContext(ctx context.Context) *Runner {
 	defer r.mu.Unlock()
 	r.ctx = ctx
 	return r
-}
-
-// key serialises the configuration fields the experiments vary. Ad-hoc
-// specs (WorkloadSpec overrides) are keyed by their contents — a stable
-// fingerprint of the normalized encoding — never by pointer identity:
-// two distinct specs allocated at a reused address must not collide,
-// and two equal specs should share a memo slot.
-func (r *Runner) key(cfg sim.Config) string {
-	dram := "default"
-	if cfg.DRAM != nil {
-		dram = fmt.Sprintf("%+v", *cfg.DRAM)
-	}
-	ad := ""
-	if cfg.WorkloadSpec != nil || cfg.AdversarySpec != nil {
-		ad = "|adhoc:" + specKey(cfg.WorkloadSpec) + "/" + specKey(cfg.AdversarySpec)
-	}
-	return fmt.Sprintf("m%d|w%s|a%s+%v|p%.6f|s%d.%d|%d/%d/%d.%d|b%s|h%+v|d%s|x%d.%.4f.%d.%d|pt%s.%d%s",
-		cfg.Mode, cfg.Workload, cfg.Adversary, cfg.Adversaries, cfg.PInduce, cfg.Seed, cfg.EngineSeed,
-		cfg.WarmupInstrs, cfg.ROIInstrs, cfg.SampleEvery, cfg.TelemetryEvery,
-		cfg.Branch, cfg.Hier, dram,
-		cfg.IndependentPeriod, cfg.DRAMContentionProb, cfg.DRAMContentionPenalty,
-		cfg.LLCWayAllocation, cfg.Partitioning, cfg.ReallocEvery, ad)
-}
-
-// specKey fingerprints an optional ad-hoc spec for memo keying.
-func specKey(s *trace.Spec) string {
-	if s == nil {
-		return "-"
-	}
-	return s.Fingerprint()
 }
 
 // base stamps the scale's budgets onto cfg.
@@ -155,13 +128,19 @@ func (r *Runner) Get(cfg sim.Config) (*sim.Result, error) {
 // parallel, and returns results in input order.
 func (r *Runner) GetAll(cfgs []sim.Config) ([]*sim.Result, error) {
 	keys := make([]string, len(cfgs))
+	for i, cfg := range cfgs {
+		k, err := runner.ConfigKey(cfg)
+		if err != nil {
+			return nil, fmt.Errorf("%w: unhashable: %v", sim.ErrBadConfig, err)
+		}
+		keys[i] = k
+	}
 	var missing []sim.Config
 	var missingIdx []int
 	r.mu.Lock()
 	seen := make(map[string]bool)
 	for i, cfg := range cfgs {
-		k := r.key(cfg)
-		keys[i] = k
+		k := keys[i]
 		if r.memo[k] != nil {
 			telemetry.StoreC.MemoHits.Add(1)
 			continue

@@ -8,7 +8,7 @@ import (
 )
 
 // TestMemoCountersFoldIntoStoreExpvar: the expt memo's hit/miss traffic
-// is visible on the shared "pinte.store" dashboard.
+// is visible in the metrics tree's shared store group.
 func TestMemoCountersFoldIntoStoreExpvar(t *testing.T) {
 	r := NewRunner(micro())
 	cfg := r.Pinte("453.povray", 0.1)

@@ -5,9 +5,10 @@
 // whichever were set, returning a stop function the caller defers. The
 // profile outputs load directly into `go tool pprof` / `go tool trace`,
 // which is how the hot-path numbers in DESIGN.md were gathered; -debug
-// serves the live expvar page (including the campaign progress
-// published by internal/runner via internal/telemetry) and the pprof
-// HTTP endpoints for poking at a run while it is still going.
+// serves the live expvar page (the "pinte" metrics tree of
+// internal/telemetry, including the campaign progress internal/runner
+// registers there) and the pprof HTTP endpoints for poking at a run
+// while it is still going.
 package prof
 
 import (
@@ -31,9 +32,9 @@ type Options struct {
 	MemProfile string // pprof heap profile path (written at stop)
 	Trace      string // runtime execution trace path
 	// DebugAddr, when non-empty, serves the process debug endpoints —
-	// /debug/vars (expvar, including the "pinte.campaign" live progress
-	// snapshot) and /debug/pprof — on this address for the lifetime of
-	// the run.
+	// /debug/vars (expvar, including the "pinte" metrics tree with the
+	// campaign's live progress) and /debug/pprof — on this address for
+	// the lifetime of the run.
 	DebugAddr string
 }
 

@@ -76,11 +76,12 @@ func (s Stats) String() string {
 }
 
 // NewCache builds a cache bounded by budgetBytes (<= 0 means unlimited)
-// and publishes its live counters on the expvar page (key
-// "pinte.replay", served by the prof package's -debug endpoint).
+// and shows its live counters as the metrics tree's replay group (one
+// cache per process is the command-line shape; a later cache replaces
+// an earlier one there).
 func NewCache(budgetBytes int64) *Cache {
 	c := &Cache{budget: budgetBytes, streams: make(map[Key]*entry)}
-	publish(c)
+	telemetry.ReplayView.Show(func() any { return c.Snapshot() })
 	return c
 }
 
@@ -185,11 +186,4 @@ func (c *Cache) Snapshot() Stats {
 		st.Records += e.stream.Len()
 	}
 	return st
-}
-
-// publish exposes the most recently constructed cache as expvar
-// "pinte.replay" through the telemetry package (one cache per process
-// is the command-line shape; a later cache replaces an earlier one).
-func publish(c *Cache) {
-	telemetry.PublishReplay(func() any { return c.Snapshot() })
 }

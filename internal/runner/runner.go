@@ -47,8 +47,9 @@ import (
 )
 
 // Options tunes an Orchestrator. The zero value runs with GOMAXPROCS
-// workers, no per-run deadline, no retries and no result store —
-// equivalent to sim.RunManyContext plus structured failures.
+// workers, no per-run deadline, no retries and no result store: every
+// config runs once, in parallel, and a failed or panicking run becomes
+// a structured RunError while the rest complete.
 type Options struct {
 	// Workers caps concurrent simulations; <= 0 means GOMAXPROCS.
 	Workers int
@@ -82,8 +83,8 @@ type Options struct {
 	// Progress, when positive, emits a live heartbeat snapshot
 	// (completed/failed/retried runs, runs/sec, ETA, record failures)
 	// through Logf on this period. Independent of the period, every
-	// campaign publishes its progress on expvar ("pinte.campaign",
-	// served by the prof package's -debug endpoint).
+	// campaign's progress is in the campaigns group of the metrics tree
+	// (expvar "pinte", served by the prof package's -debug endpoint).
 	Progress time.Duration
 	// Streams, when non-nil, is stamped onto every config that does not
 	// already carry a stream provider: the campaign's record/replay
@@ -139,11 +140,11 @@ type Options struct {
 	// without Pool.
 	Tenant string
 	Weight int
-	// CampaignID, when non-empty, registers the campaign's live
-	// progress in the telemetry campaign registry (expvar
-	// "pinte.campaigns") instead of the process-wide last-campaign-wins
-	// "pinte.campaign" slot. The service unregisters it when the
-	// campaign is finalized.
+	// CampaignID names the campaign's live progress in the campaigns
+	// group of the metrics tree. The service gives each campaign its
+	// own ID and unregisters it when the campaign is finalized; the
+	// empty ID is one slot, so each campaign without an ID replaces the
+	// last one there (the command-line tools' shape).
 	CampaignID string
 	// OnResult observes every completed result: admission-time store
 	// hits first (in input order), then completions as they happen.
@@ -396,11 +397,7 @@ func (o *Orchestrator) RunAll(ctx context.Context, cfgs []sim.Config) (*Outcome,
 		prior: make([]int, len(cfgs)), plans: make([]*phase.Plan, len(cfgs)),
 	}
 	c.prog = telemetry.NewProgress(len(cfgs), time.Now())
-	if o.opts.CampaignID != "" {
-		telemetry.RegisterCampaign(o.opts.CampaignID, c.prog)
-	} else {
-		c.prog.Publish()
-	}
+	telemetry.RegisterCampaign(o.opts.CampaignID, c.prog)
 	for i, cfg := range cfgs {
 		k, err := ConfigKey(cfg)
 		if err != nil {

@@ -2,7 +2,9 @@ package runner
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"expvar"
 	"fmt"
 	"math"
 	"strings"
@@ -13,6 +15,7 @@ import (
 
 	"repro/internal/replay"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 // tinyCfg returns a fast PInTE config for integration tests.
@@ -75,6 +78,48 @@ func TestPanicBecomesRunError(t *testing.T) {
 	}
 	if out.Err() == nil || !errors.Is(out.Err(), sim.ErrPanic) {
 		t.Fatalf("Outcome.Err does not surface the panic: %v", out.Err())
+	}
+}
+
+// TestRunAllIsolatesRealFailures drives real simulations: an unknown
+// workload and an invalid config fail on their own, each as a RunError
+// at its index (the invalid one classified ErrBadConfig), while the healthy configs complete with
+// results byte-equal to running them alone through sim.Run.
+func TestRunAllIsolatesRealFailures(t *testing.T) {
+	bad := tinyCfg("433.milc", 0.2)
+	bad.PInduce = 1.7
+	cfgs := []sim.Config{
+		tinyCfg("453.povray", 0),
+		tinyCfg("999.bogus", 0.1),
+		bad,
+		tinyCfg("470.lbm", 0.2),
+	}
+	out, err := New(Options{Workers: 2}).RunAll(context.Background(), cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{0, 3} {
+		want, err := sim.Run(cfgs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Results[i] == nil || fingerprint(out.Results[i]) != fingerprint(want) {
+			t.Fatalf("config %d: campaign result differs from sim.Run", i)
+		}
+	}
+	if len(out.Failures) != 2 {
+		t.Fatalf("got %d failures, want 2: %v", len(out.Failures), out.Failures)
+	}
+	for k, f := range out.Failures {
+		if f.Index != k+1 || out.Results[f.Index] != nil || f.Config.Workload != cfgs[f.Index].Workload {
+			t.Fatalf("failure %d misreported: %+v", k, f)
+		}
+	}
+	if f := out.Failures[1]; !errors.Is(f.Err, sim.ErrBadConfig) {
+		t.Fatalf("invalid config not classified ErrBadConfig: %v", f.Err)
+	}
+	if !errors.Is(out.Err(), sim.ErrBadConfig) {
+		t.Fatalf("Outcome.Err lost the taxonomy: %v", out.Err())
 	}
 }
 
@@ -433,5 +478,42 @@ func TestResumeProducesIdenticalResults(t *testing.T) {
 	}
 	if third.Ran != 0 || third.FromStore != 4 {
 		t.Fatalf("fully stored campaign still ran %d configs", third.Ran)
+	}
+}
+
+// cliCampaigns reads the campaigns group of the metrics tree.
+func cliCampaigns(t *testing.T) map[string]telemetry.Snapshot {
+	t.Helper()
+	var tree struct{ Campaigns map[string]telemetry.Snapshot }
+	if err := json.Unmarshal([]byte(expvar.Get("pinte").String()), &tree); err != nil {
+		t.Fatal(err)
+	}
+	return tree.Campaigns
+}
+
+// TestCLICampaignsShareOneSlot: campaigns without a CampaignID (the
+// command-line tools) share the campaigns group's empty-ID slot, so
+// two campaigns in a row leave one entry there: the later one's.
+func TestCLICampaignsShareOneSlot(t *testing.T) {
+	before := len(cliCampaigns(t))
+	for _, n := range []int{1, 3} {
+		o := New(Options{Workers: 1})
+		o.run = func(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
+			return &sim.Result{Config: cfg, IPC: 1}, nil
+		}
+		cfgs := make([]sim.Config, n)
+		for i := range cfgs {
+			cfgs[i] = tinyCfg(fmt.Sprintf("w%d", i), 0.1)
+		}
+		if _, err := o.RunAll(context.Background(), cfgs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	camps := cliCampaigns(t)
+	if len(camps) > max(before, 1) {
+		t.Fatalf("campaigns group grew from %d to %d entries: %v", before, len(camps), camps)
+	}
+	if s, ok := camps[""]; !ok || s.Total != 3 || !s.Done() {
+		t.Fatalf("CLI slot = %+v, %v; want the later campaign, 3 runs, done", s, ok)
 	}
 }

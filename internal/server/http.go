@@ -37,7 +37,8 @@ import (
 //	DELETE /v1/campaigns/{id}      cancel a live campaign (202) or delete a
 //	                               finished one (204)
 //	GET    /healthz                liveness + drain state
-//	GET    /debug/vars             expvar (pinte.server, pinte.campaigns, ...)
+//	GET    /debug/vars             expvar: the "pinte" metrics tree
+//	                               (server, campaigns, store, ... groups)
 
 // campaignStatus is the wire form of one campaign's state.
 type campaignStatus struct {

@@ -540,6 +540,42 @@ func TestServeValidation(t *testing.T) {
 
 // TestSweepSpecConfigsMatchCLI pins the spec expansion to pintesweep's
 // canonical order: baselines first, then the workload-major grid.
+// TestServeDebugVarsServesTree: pinted's /debug/vars serves the metrics
+// tree as one "pinte" key holding all seven groups, and the server group
+// counts the campaign just submitted.
+func TestServeDebugVarsServesTree(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	st := submitOK(t, ts, "alice", tinySpec())
+	waitState(t, ts, st.ID, StateDone)
+
+	resp, err := http.Get(ts.URL + "/debug/vars")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var vars map[string]json.RawMessage
+	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
+		t.Fatal(err)
+	}
+	for k := range vars {
+		if strings.HasPrefix(k, "pinte") && k != "pinte" {
+			t.Errorf("stray expvar key %q beside the tree", k)
+		}
+	}
+	var tree map[string]map[string]any
+	if err := json.Unmarshal(vars["pinte"], &tree); err != nil {
+		t.Fatalf("pinte: %v", err)
+	}
+	for _, g := range []string{"campaigns", "replay", "degraded", "fanout", "phase", "server", "store"} {
+		if _, ok := tree[g]; !ok {
+			t.Errorf("tree lacks group %q", g)
+		}
+	}
+	if n, _ := tree["server"]["submitted"].(float64); n < 1 {
+		t.Fatalf("server group did not count the submission: %v", tree["server"])
+	}
+}
+
 func TestSweepSpecConfigsMatchCLI(t *testing.T) {
 	spec := SweepSpec{
 		Workloads: []string{"453.povray", "450.soplex"}, Points: []float64{0.1, 0.5},

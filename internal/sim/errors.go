@@ -6,7 +6,7 @@ import (
 )
 
 // Error taxonomy for the execution stack. Every failure surfaced by
-// Run/RunMany and the internal/runner orchestrator wraps one of these
+// Run and the internal/runner orchestrator wraps one of these
 // sentinels, so callers can classify failures with errors.Is and decide
 // whether a retry can help (ErrPanic, ErrTimeout, ErrStalled) or not
 // (ErrBadConfig, ErrCanceled).
@@ -43,22 +43,6 @@ func (e *PanicError) Error() string {
 
 // Unwrap makes errors.Is(err, ErrPanic) true.
 func (e *PanicError) Unwrap() error { return ErrPanic }
-
-// RunFailure identifies which configuration of a batch failed and why.
-// RunMany joins one RunFailure per failed config into its returned
-// error; extract them with errors.As or a type switch over
-// errors.Join's tree.
-type RunFailure struct {
-	Index  int
-	Config Config
-	Err    error
-}
-
-func (f *RunFailure) Error() string {
-	return fmt.Sprintf("config %d (%s %s): %v", f.Index, f.Config.Mode, f.Config.Workload, f.Err)
-}
-
-func (f *RunFailure) Unwrap() error { return f.Err }
 
 // Retryable reports whether a failed run might succeed on a retry with
 // a perturbed seed: panics, timeouts and stalls can be seed-dependent,

@@ -2,8 +2,8 @@
 // of contention: Isolation (one core, no injection), PInTE (one core with
 // the injection engine on the LLC), and SecondTrace (two cores sharing
 // the LLC and DRAM — the multi-programmed baseline). It handles warm-up,
-// the region of interest, periodic run-time sampling, and parallel
-// experiment execution.
+// the region of interest, and periodic run-time sampling. Batches of
+// runs go through internal/runner.
 package sim
 
 import (
@@ -11,9 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"runtime/debug"
-	"sync"
 	"time"
 
 	"repro/internal/branch"
@@ -374,20 +371,6 @@ func ctxError(ctx context.Context) error {
 		return ErrTimeout
 	}
 	return ErrCanceled
-}
-
-// RunSafe is RunContext with panic isolation: a panicking simulation is
-// recovered into a *PanicError (wrapping ErrPanic) with the goroutine
-// stack attached, instead of crashing the process. Batch drivers use it
-// so one broken run cannot kill a campaign.
-func RunSafe(ctx context.Context, cfg Config) (res *Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			res = nil
-			err = &PanicError{Value: r, Stack: debug.Stack()}
-		}
-	}()
-	return RunContext(ctx, cfg)
 }
 
 // RunContext executes one simulation under ctx: a context deadline
@@ -826,60 +809,4 @@ func (s *sampler) maybeSample(out *[]Sample) {
 	*out = append(*out, smp)
 	s.prev = cur
 	s.nextAt = cur.instrs + s.cfg.SampleEvery
-}
-
-// RunMany executes configs in parallel across workers goroutines
-// (GOMAXPROCS when workers <= 0) and returns results in input order.
-// Failures are isolated per run: every config executes (a panicking run
-// is recovered into a *PanicError rather than crashing the process),
-// results holds the successes (nil at failed indexes), and the returned
-// error joins one *RunFailure per failed config — callers emit what
-// completed and report the rest. For per-run deadlines, retries and
-// crash-safe journaling use internal/runner.
-func RunMany(cfgs []Config, workers int) ([]*Result, error) {
-	return RunManyContext(context.Background(), cfgs, workers)
-}
-
-// RunManyContext is RunMany under a context: cancellation stops
-// scheduling new work, interrupts in-flight runs, and marks every
-// not-yet-finished config with ErrCanceled.
-func RunManyContext(ctx context.Context, cfgs []Config, workers int) ([]*Result, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	results := make([]*Result, len(cfgs))
-	failures := make([]error, len(cfgs))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				r, err := RunSafe(ctx, cfgs[i])
-				if err != nil {
-					failures[i] = &RunFailure{Index: i, Config: cfgs[i], Err: err}
-					continue
-				}
-				results[i] = r
-			}
-		}()
-	}
-	sent := len(cfgs)
-	for i := range cfgs {
-		select {
-		case idx <- i:
-		case <-ctx.Done():
-			sent = i
-		}
-		if sent != len(cfgs) {
-			break
-		}
-	}
-	close(idx)
-	wg.Wait()
-	for i := sent; i < len(cfgs); i++ {
-		failures[i] = &RunFailure{Index: i, Config: cfgs[i], Err: ErrCanceled}
-	}
-	return results, errors.Join(failures...)
 }

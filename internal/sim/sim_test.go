@@ -176,34 +176,6 @@ func TestRunReuseHistogramPopulated(t *testing.T) {
 	}
 }
 
-func TestRunManyMatchesRun(t *testing.T) {
-	cfgs := []Config{
-		tiny(Config{Workload: "453.povray"}),
-		tiny(Config{Workload: "433.milc", Mode: PInTE, PInduce: 0.2}),
-		tiny(Config{Workload: "470.lbm"}),
-	}
-	batch, err := RunMany(cfgs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, cfg := range cfgs {
-		solo := run(t, cfg)
-		if batch[i].IPC != solo.IPC {
-			t.Errorf("cfg %d: parallel result %v != solo %v", i, batch[i].IPC, solo.IPC)
-		}
-	}
-}
-
-func TestRunManyPropagatesError(t *testing.T) {
-	cfgs := []Config{
-		tiny(Config{Workload: "453.povray"}),
-		tiny(Config{Workload: "999.bogus"}),
-	}
-	if _, err := RunMany(cfgs, 2); err == nil {
-		t.Fatal("error not propagated from batch")
-	}
-}
-
 func TestValidateRejectsContradictions(t *testing.T) {
 	cases := []struct {
 		name string
@@ -262,72 +234,6 @@ func TestRunContextDeadline(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("cancellation not prompt: run stopped after %s", elapsed)
-	}
-}
-
-func TestRunSafeRecoversPanic(t *testing.T) {
-	// A handcrafted nil-spec panic path cannot be reached through the
-	// validated API, so drive RunSafe's recovery directly.
-	res, err := func() (*Result, error) {
-		return RunSafe(context.Background(), Config{
-			Workload:     "adhoc",
-			WorkloadSpec: &trace.Spec{Name: "empty"}, // no regions: generator refuses
-		})
-	}()
-	if err == nil && res == nil {
-		t.Fatal("no result and no error")
-	}
-	// Whether this spec errors or panics, the process must survive and
-	// any panic must carry the taxonomy sentinel.
-	if err != nil && errors.Is(err, ErrPanic) {
-		var pe *PanicError
-		if !errors.As(err, &pe) || len(pe.Stack) == 0 {
-			t.Fatalf("panic recovered without stack: %v", err)
-		}
-	}
-}
-
-func TestRunManyIsolatesFailures(t *testing.T) {
-	cfgs := []Config{
-		tiny(Config{Workload: "453.povray"}),
-		tiny(Config{Workload: "999.bogus"}),
-		tiny(Config{Workload: "433.milc", Mode: PInTE, PInduce: 1.7}), // invalid
-		tiny(Config{Workload: "470.lbm"}),
-	}
-	results, err := RunMany(cfgs, 2)
-	if err == nil {
-		t.Fatal("failures not reported")
-	}
-	if results[0] == nil || results[3] == nil {
-		t.Fatal("healthy configs lost alongside failing ones")
-	}
-	if results[1] != nil || results[2] != nil {
-		t.Fatal("failing configs produced results")
-	}
-	if !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("taxonomy lost in joined error: %v", err)
-	}
-	var rf *RunFailure
-	if !errors.As(err, &rf) {
-		t.Fatalf("no structured RunFailure in %v", err)
-	}
-}
-
-func TestRunManyContextCanceledMarksRemainder(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	cfgs := []Config{
-		tiny(Config{Workload: "453.povray"}),
-		tiny(Config{Workload: "433.milc"}),
-	}
-	results, err := RunManyContext(ctx, cfgs, 1)
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("err = %v, want ErrCanceled", err)
-	}
-	for i, r := range results {
-		if r != nil {
-			t.Fatalf("canceled campaign produced result %d", i)
-		}
 	}
 }
 

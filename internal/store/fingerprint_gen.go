@@ -6,4 +6,4 @@ package store
 // packages (see cmd/simfp for the set). Regenerate after any simulator
 // change with `go generate ./internal/store`; the store-check CI
 // target fails while it is stale.
-const genFingerprint = "sim-7d705eca6fae7d95"
+const genFingerprint = "sim-6bf3ad740d8aab00"

@@ -1,4 +1,4 @@
-package runner
+package store
 
 import (
 	"bytes"
@@ -8,51 +8,58 @@ import (
 	"testing"
 
 	"repro/internal/sim"
-	"repro/internal/store"
-	"repro/internal/telemetry"
 )
 
-// fuzzSegment runs a one-config campaign into a fresh store and returns
-// the store's segment bytes: one intact record.
+// fuzzSegment writes one result into a fresh store and returns the
+// store's segment bytes: one intact record.
 func fuzzSegment(tb testing.TB, key string) []byte {
 	tb.Helper()
 	dir := tb.TempDir()
-	st, err := store.Open(store.Options{Dir: dir, Fingerprint: "sim-fuzz"})
+	s, err := Open(Options{Dir: dir, Fingerprint: "sim-fuzz"})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if err := st.Put(key, &sim.Result{Config: tinyCfg("w", 0.25), IPC: 0.75}); err != nil {
+	res := &sim.Result{Config: sim.Config{Mode: sim.PInTE, Workload: "w", PInduce: 0.25}, IPC: 0.75}
+	if err := s.Put(key, res); err != nil {
 		tb.Fatal(err)
 	}
-	st.Close()
-	return segmentOf(tb, dir)
+	s.Close()
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.seg"))
+	if err != nil || len(segs) != 1 {
+		tb.Fatalf("store holds segments %v (%v), want one", segs, err)
+	}
+	data, err := os.ReadFile(segs[0])
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
 }
 
 // openFuzzed opens a store whose only segment holds data, failing the
 // test if the open fails, and returns it with its directory.
-func openFuzzed(t *testing.T, data []byte) (*store.Store, string) {
+func openFuzzed(t *testing.T, data []byte) (*Store, string) {
 	t.Helper()
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "seg-00000001.seg"), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st, err := store.Open(store.Options{Dir: dir, Fingerprint: "sim-fuzz"})
+	s, err := Open(Options{Dir: dir, Fingerprint: "sim-fuzz"})
 	if err != nil {
 		t.Fatalf("store open errored on plain input: %v", err)
 	}
-	return st, dir
+	return s, dir
 }
 
-// FuzzLoadJournal throws arbitrary bytes at the loader of the campaign's
-// durable record — the result store's segment scan, which replaced the
-// resume journal this target is named for. It fuzzes the scan's
-// corruption contract: open never fails or panics on plain input, a
-// torn tail is trimmed benignly, a corrupt record in the middle of a
-// file is skipped and counted while every intact record after it is
-// still indexed, and every indexed record reads back. Whatever garbage
-// a damaged disk serves, resume degrades to re-running work, not to
-// crashing or serving a wrong result.
-func FuzzLoadJournal(f *testing.F) {
+// FuzzSegmentScan throws arbitrary bytes at the segment scan that
+// rebuilds the store's index on open — the loader of every campaign's
+// durable record. It fuzzes the scan's corruption contract: open never
+// fails or panics on plain input, a torn tail is trimmed benignly, a
+// corrupt record in the middle of a file is skipped and counted while
+// every intact record after it is still indexed, and every indexed
+// record reads back. Whatever garbage a damaged disk serves, resume
+// degrades to re-running work, not to crashing or serving a wrong
+// result.
+func FuzzSegmentScan(f *testing.F) {
 	real := fuzzSegment(f, "k")
 	sentinel := fuzzSegment(f, "fuzz-sentinel")
 	bitRot := bytes.Clone(real)
@@ -69,27 +76,27 @@ func FuzzLoadJournal(f *testing.F) {
 	f.Add([]byte{0xff, 0xfe, 0x00, '\n', '{'})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		before := telemetry.StoreSnapshot()
-		st, dir := openFuzzed(t, data)
-		keys := st.Keys()
+		diff := storeDelta()
+		s, dir := openFuzzed(t, data)
+		keys := s.Keys()
 		for _, k := range keys {
-			if _, ok := st.Peek(k); !ok {
+			if _, ok := s.Peek(k); !ok {
 				t.Fatalf("indexed record %q does not read back", k)
 			}
 		}
-		st.Close()
-		if d := telemetry.StoreSnapshot()["torn_tails"] - before["torn_tails"]; d < 0 || d > 1 {
+		s.Close()
+		if d := diff()["torn_tails"]; d < 0 || d > 1 {
 			t.Fatalf("open trimmed %d torn tails from one segment", d)
 		}
 
 		// The trimmed segment ends on a record boundary: a reopen finds
 		// nothing left to trim and indexes the same records.
-		before = telemetry.StoreSnapshot()
-		again, err := store.Open(store.Options{Dir: dir, Fingerprint: "sim-fuzz"})
+		diff = storeDelta()
+		again, err := Open(Options{Dir: dir, Fingerprint: "sim-fuzz"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := telemetry.StoreSnapshot()["torn_tails"] - before["torn_tails"]; d != 0 {
+		if diff()["torn_tails"] != 0 {
 			t.Fatal("reopen found another torn tail")
 		}
 		if got := again.Keys(); !reflect.DeepEqual(got, keys) {
@@ -103,10 +110,10 @@ func FuzzLoadJournal(f *testing.F) {
 		if len(mid) > 0 && mid[len(mid)-1] != '\n' {
 			mid = append(mid, '\n')
 		}
-		st, _ = openFuzzed(t, append(mid, sentinel...))
-		if res, ok := st.Peek("fuzz-sentinel"); !ok || res.IPC != 0.75 {
+		s, _ = openFuzzed(t, append(mid, sentinel...))
+		if res, ok := s.Peek("fuzz-sentinel"); !ok || res.IPC != 0.75 {
 			t.Fatalf("intact record after the fuzzed bytes lost: %v %v", res, ok)
 		}
-		st.Close()
+		s.Close()
 	})
 }

@@ -72,12 +72,12 @@ func (s *Store) Do(ctx context.Context, key string, compute func() (*sim.Result,
 				return nil, ViaFlight, ctx.Err()
 			}
 			if f.ok {
-				telemetry.StoreC.SingleFlightShared.Add(1)
+				telemetry.StoreC.SingleflightShared.Add(1)
 				return f.res, ViaFlight, nil
 			}
 			// Leader failed or panicked: retry, possibly becoming the new
 			// leader ourselves.
-			telemetry.StoreC.SingleFlightRetries.Add(1)
+			telemetry.StoreC.SingleflightRetries.Add(1)
 			continue
 		}
 		f := &flight{done: make(chan struct{})}

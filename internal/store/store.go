@@ -149,14 +149,14 @@ type Store struct {
 // Open opens (or creates) the store rooted at opts.Dir, rebuilding the
 // index from the segment files. A corrupt record is skipped and
 // counted; a torn final record is trimmed. Open failures are counted in
-// the open_errors expvar.
+// the metrics tree's store group (open_errors).
 func Open(opts Options) (*Store, error) {
 	s, err := open(opts)
 	if err != nil {
 		telemetry.StoreC.OpenErrors.Add(1)
 		return nil, err
 	}
-	telemetry.PublishStoreGauges(s.gauges)
+	telemetry.StoreView.Show(s.gauges)
 	return s, nil
 }
 
@@ -628,7 +628,7 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// gauges feeds the "pinte.store" expvar's size fields.
+// gauges feeds the size fields of the metrics tree's store group.
 func (s *Store) gauges() map[string]int64 {
 	st := s.Stats()
 	return map[string]int64{

@@ -1,9 +1,7 @@
 package telemetry
 
 import (
-	"expvar"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -129,29 +127,4 @@ func (s Snapshot) String() string {
 		line += fmt.Sprintf(", wall %s", s.Elapsed.Round(time.Millisecond))
 	}
 	return line
-}
-
-// currentProgress backs the process-wide expvar view: the most recently
-// published campaign wins, which matches the one-campaign-per-process
-// shape of the command-line tools.
-var (
-	currentProgress atomic.Pointer[Progress]
-	publishOnce     sync.Once
-)
-
-// Publish exposes p as the process's live campaign on the expvar page
-// (/debug/vars, key "pinte.campaign" — served over HTTP by the prof
-// package's -debug endpoint). Idempotent; a later campaign's Publish
-// replaces an earlier one's.
-func (p *Progress) Publish() {
-	currentProgress.Store(p)
-	publishOnce.Do(func() {
-		expvar.Publish("pinte.campaign", expvar.Func(func() any {
-			cur := currentProgress.Load()
-			if cur == nil {
-				return nil
-			}
-			return cur.Snapshot(time.Now())
-		}))
-	})
 }

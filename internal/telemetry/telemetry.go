@@ -1,7 +1,8 @@
 // Package telemetry is the simulator's observability layer: interval
 // time-series collected on the simulation hot path without allocating,
 // a P_Induce calibration audit (realized vs configured trigger rate),
-// and live campaign progress tracking for long sweeps.
+// live campaign progress tracking for long sweeps, and the metrics tree
+// (expvar "pinte") that serves every process-wide counter.
 //
 // The package is a leaf: it never imports the simulator. Producers hand
 // it plain counter snapshots (Counters) and it differentiates them into

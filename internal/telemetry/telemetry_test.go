@@ -221,13 +221,3 @@ func TestProgressSnapshotFreezesAfterDone(t *testing.T) {
 		t.Fatalf("in-flight Elapsed frozen at %v", a.Elapsed)
 	}
 }
-
-func TestProgressPublishIdempotent(t *testing.T) {
-	p1 := NewProgress(1, time.Now())
-	p2 := NewProgress(2, time.Now())
-	p1.Publish()
-	p2.Publish() // must not panic on duplicate expvar registration
-	if got := currentProgress.Load(); got != p2 {
-		t.Fatal("latest published campaign did not win")
-	}
-}

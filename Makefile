@@ -85,13 +85,16 @@ serve-check:
 # byte-identical to generated runs and to the committed goldens, and
 # fan-out groups (shared-front digest points alongside per-run points)
 # must be byte-identical to the sequential per-run path at both the
-# simulator and campaign level. A 20 s smoke of the campaign-path
-# differential oracle (FuzzCampaignPaths: per-run, replay, fan-out and
-# warm-store results over generated configs must be byte-identical)
-# closes the gate.
+# simulator and campaign level. Two fuzz smokes close the gate: 10 s of
+# the arena codec's round trip (FuzzStreamRoundTrip: arbitrary record
+# sequences read back through NextBatch, Next and Skip must be exact)
+# and 20 s of the campaign-path differential oracle (FuzzCampaignPaths:
+# per-run, replay, fan-out and warm-store results over generated
+# configs must be byte-identical).
 replay-check:
 	$(GO) test -count=1 -run 'TestReplayEquivalence|TestReplayMatchesGoldens|TestFanout' \
 		./internal/sim ./internal/runner
+	$(GO) test -run '^$$' -fuzz FuzzStreamRoundTrip -fuzztime 10s -parallel 2 ./internal/replay
 	$(GO) test -run '^$$' -fuzz FuzzCampaignPaths -fuzztime 20s -parallel 2 ./internal/runner
 
 # Phase-aware sampling gate, race-enabled: the clusterer's determinism

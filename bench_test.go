@@ -284,7 +284,7 @@ func BenchmarkSweepReplay(b *testing.B) {
 // BenchmarkSweepFanout measures the one-decode fan-out executor on the
 // same 12-point sweep as BenchmarkSweepReplay: the points share a
 // (workload, seed) stream and differ only below the L2, so the fan
-// phase decodes each columnar chunk once and runs one front-end pass
+// phase decodes each replay chunk once and runs one front-end pass
 // feeding twelve below-L2 followers. Compare against
 // BenchmarkSweepReplay/CacheOn in the recorded baseline — same sweep,
 // same stream cache, sequential execution — for the executor's own

@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -266,5 +267,26 @@ func TestPartitioningExperiment(t *testing.T) {
 	}
 	if tbl == nil || len(tbl.Rows) != len(res.Rows) {
 		t.Fatal("table mismatch")
+	}
+}
+
+// TestFig6Deterministic pins Fig 6 to its seed: repeated calls on one
+// memoized runner see the same results, so every difference would come
+// from Fig6 itself (map order feeding the seeded calibration draws, the
+// mean's float sum or the ranking's ties).
+func TestFig6Deterministic(t *testing.T) {
+	r := NewRunner(reuseScale())
+	first, _, err := Fig6(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		again, _, err := Fig6(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(first, again) {
+			t.Fatalf("call %d differs:\n got %+v\nwant %+v", i+2, again, first)
+		}
 	}
 }

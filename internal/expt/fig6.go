@@ -82,10 +82,18 @@ func Fig6(r *Runner) (*Fig6Result, []*report.Table, error) {
 		return nil, nil, fmt.Errorf("expt: fig6 found no CRG-matched pairs")
 	}
 	res := &Fig6Result{KL: kls}
+	// Everything below walks the workloads in sorted order: the seeded
+	// calibration draws pair with refs by position, and the float sum
+	// depends on its order.
+	names := make([]string, 0, len(kls))
+	for w := range kls {
+		names = append(names, w)
+	}
+	sort.Strings(names)
 	var refs [][]float64
 	var sum float64
-	for w, k := range kls {
-		sum += k
+	for _, w := range names {
+		sum += kls[w]
 		refs = append(refs, stats.U64ToF64(rep[w][0].ReuseHist))
 	}
 	res.MeanKL = sum / float64(len(kls))
@@ -110,10 +118,15 @@ func Fig6(r *Runner) (*Fig6Result, []*report.Table, error) {
 		kl float64
 	}
 	var ranked []wk
-	for w, k := range kls {
-		ranked = append(ranked, wk{w, k})
+	for _, w := range names {
+		ranked = append(ranked, wk{w, kls[w]})
 	}
-	sort.Slice(ranked, func(i, j int) bool { return ranked[i].kl < ranked[j].kl })
+	sort.Slice(ranked, func(i, j int) bool {
+		if ranked[i].kl != ranked[j].kl {
+			return ranked[i].kl < ranked[j].kl
+		}
+		return ranked[i].w < ranked[j].w
+	})
 	take := len(ranked) / 2
 	if take > 3 {
 		take = 3
@@ -156,11 +169,6 @@ func Fig6(r *Runner) (*Fig6Result, []*report.Table, error) {
 		Title:   "Reuse KL divergence per benchmark with random-calibration bounds",
 		Columns: []string{"Benchmark", "KL (bits)"},
 	}
-	var names []string
-	for w := range kls {
-		names = append(names, w)
-	}
-	sort.Strings(names)
 	for _, w := range names {
 		tbl.AddRowf(w, kls[w])
 	}

@@ -40,7 +40,7 @@ import (
 const (
 	// Replay cache (internal/replay): arena and pool faults.
 	SiteReplaySource  = "replay.source"  // stream acquisition fails (generator build)
-	SiteReplayCorrupt = "replay.corrupt" // a sealed arena chunk rots after its checksum
+	SiteReplayCorrupt = "replay.corrupt" // a sealed arena chunk or page rots after its checksum
 	SiteReplayEvict   = "replay.evict"   // forced eviction pressure on arena growth
 
 	// Trace sources (internal/sim): stream plumbing faults.

@@ -17,7 +17,8 @@ import (
 // map-level singleflight), and every other run replays the shared
 // immutable arenas. Safe for concurrent use by parallel workers.
 //
-// The budget bounds resident arena bytes. When an extension pushes the
+// The budget bounds resident arena bytes: every stream's flag chunks
+// (seek index included) and value pages. When an extension pushes the
 // pool past it, whole least-recently-used streams are dropped from the
 // pool; in-flight replayers of a dropped stream keep a reference and
 // finish unharmed (their arenas are reclaimed when they complete), so
@@ -50,10 +51,10 @@ type Stats struct {
 	Hits, Misses int64
 	// Evictions counts whole streams dropped to respect the budget.
 	Evictions int64
-	// CorruptChunks counts sealed arena chunks that failed checksum
-	// verification (the damaged stream is dropped from the pool);
-	// Fallbacks counts replayers that switched to live regeneration
-	// because of one — degraded but never wrong.
+	// CorruptChunks counts sealed flag chunks and value pages that
+	// failed checksum verification (the damaged stream is dropped from
+	// the pool); Fallbacks counts replayers that switched to live
+	// regeneration because of one — degraded but never wrong.
 	CorruptChunks int64
 	Fallbacks     int64
 	// Streams and Bytes describe current residency.
@@ -114,7 +115,7 @@ func (c *Cache) Source(spec trace.Spec, seed, base uint64) (trace.Source, error)
 	return e.stream.NewReplayer(), nil
 }
 
-// grew is the stream growth callback: account the new arena and evict
+// grew is the stream growth callback: account a new chunk or page and evict
 // least-recently-used other streams while over budget. Called with the
 // growing stream's mutex held, so it must not touch stream internals.
 func (c *Cache) grew(s *Stream, delta int64) {
@@ -155,7 +156,7 @@ func (c *Cache) grew(s *Stream, delta int64) {
 
 // corrupted drops a stream whose arena failed checksum verification from
 // the pool, so future Source calls for its key re-record from scratch
-// instead of handing out more replayers over damaged chunks. In-flight
+// instead of handing out more replayers over damaged arenas. In-flight
 // replayers of the dropped stream fall back to live regeneration on
 // their own. Called from the replay read path without the stream mutex.
 func (c *Cache) corrupted(s *Stream) {

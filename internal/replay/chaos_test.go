@@ -10,7 +10,7 @@ import (
 )
 
 // TestCorruptChunkFallsBackToGenerator locks the central degradation
-// claim of the replay hardening: when a sealed arena chunk rots, a
+// claim of the replay hardening: when a sealed arena chunk or page rots, a
 // replayer crossing it switches to live regeneration and the records it
 // serves are exactly what a cache-free run would have read — degraded,
 // counted, never wrong.
@@ -19,7 +19,8 @@ func TestCorruptChunkFallsBackToGenerator(t *testing.T) {
 	s := spec(t, "450.soplex")
 
 	fault.Enable(1)
-	// Rot the second chunk sealed: hit 1 is chunk 0, hit 2 fires.
+	// Rot the second flag chunk or value page sealed: hit 1 is the
+	// first, hit 2 fires.
 	fault.Set(fault.SiteReplayCorrupt, fault.Spec{Every: 1, After: 1, Limit: 1})
 	defer fault.Disable()
 
@@ -101,7 +102,8 @@ func TestCorruptChunkNextPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Record one full (rotted) chunk plus a little, then replay via Next.
+	// Record one full chunk plus a little (the first page or chunk sealed
+	// rots), then replay via Next.
 	batch := make([]trace.Record, chunkRecs+64)
 	if _, err := src.NextBatch(batch); err != nil {
 		t.Fatal(err)
@@ -208,7 +210,7 @@ func TestCorruptStreamReRecordsCleanly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := make([]trace.Record, chunkRecs) // record+rot chunk 0
+	batch := make([]trace.Record, chunkRecs) // record chunk 0, rotting its first seal
 	if _, err := src.NextBatch(batch); err != nil {
 		t.Fatal(err)
 	}

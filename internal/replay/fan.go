@@ -45,8 +45,8 @@ type Fan struct {
 }
 
 // NewFan builds a fan over src with n attached readers, decoding
-// batchSize records per generation (0 selects the stream chunk size,
-// 64Ki records, so each columnar chunk is decoded exactly once). fresh,
+// batchSize records per generation (0 selects the stream's flag-chunk
+// size, 64Ki records, so each chunk is decoded exactly once). fresh,
 // when non-nil, builds a private replacement source for a reader that
 // Rewinds — without it a rewound reader fails its subsequent reads.
 func NewFan(src trace.Source, n int, batchSize int, fresh func() (trace.Source, error)) *Fan {

@@ -145,7 +145,9 @@ func TestCacheCounters(t *testing.T) {
 // stream, touching a second must evict the least-recently-used one —
 // and a live replayer of the evicted stream must keep working.
 func TestCacheEviction(t *testing.T) {
-	c := NewCache(chunkBytes + chunkBytes/2)
+	// A stream's first batch costs one flag chunk and one value page.
+	const first = chunkBytes + pageBytes
+	c := NewCache(first + first/2)
 	a, err := c.Source(spec(t, "450.soplex"), 1, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +167,7 @@ func TestCacheEviction(t *testing.T) {
 	if st.Evictions == 0 {
 		t.Fatalf("no eviction under a one-stream budget: %s", st)
 	}
-	if st.Bytes > chunkBytes+chunkBytes/2 {
+	if st.Bytes > first+first/2 {
 		t.Fatalf("resident bytes %d exceed budget: %s", st.Bytes, st)
 	}
 	// The evicted stream's replayer still reads (and extends privately).
@@ -263,7 +265,7 @@ func TestReplayHotPathAllocFree(t *testing.T) {
 // BenchmarkReplayNextBatch measures the steady-state replay read rate —
 // the number to compare against BenchmarkTraceGen/NextBatch (~26
 // ns/instr): the difference is what the cache saves per replayed
-// instruction.
+// instruction — and the arena density the stream was recorded at.
 func BenchmarkReplayNextBatch(b *testing.B) {
 	s := spec(b, "450.soplex")
 	c := NewCache(0)
@@ -290,6 +292,8 @@ func BenchmarkReplayNextBatch(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(buf)), "instrs/op")
+	st := c.Snapshot()
+	b.ReportMetric(float64(st.Bytes)/float64(st.Records), "B/record")
 }
 
 // TestReplayerSkip locks the seek contract phase-sampled runs depend

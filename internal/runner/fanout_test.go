@@ -255,12 +255,18 @@ func TestChaosFanoutWorkerPanic(t *testing.T) {
 // barrier: the whole group stalls, the deadline aborts it, the stall
 // watchdog abandons the wedged point, and every point retries cleanly on
 // the per-run pool (where the consumed fault no longer fires).
+//
+// Its configs are smaller than tinyCfg: after the group's deadline each
+// point reruns alone under the same 200 ms deadline, and a race-enabled
+// 16k-instruction povray run takes about 30 ms on a 2-vCPU host, where
+// tinyCfg's 70k instructions took 100-190 ms and made the test flaky.
 func TestChaosFanoutWorkerHang(t *testing.T) {
-	cfgs := []sim.Config{
-		tinyCfg("453.povray", 0.05),
-		tinyCfg("453.povray", 0.3),
-		tinyCfg("453.povray", 0.7),
+	hangCfg := func(p float64) sim.Config {
+		cfg := tinyCfg("453.povray", p)
+		cfg.WarmupInstrs, cfg.ROIInstrs, cfg.SampleEvery = 4_000, 12_000, 3_000
+		return cfg
 	}
+	cfgs := []sim.Config{hangCfg(0.05), hangCfg(0.3), hangCfg(0.7)}
 	ref, err := New(Options{Workers: 1}).RunAll(context.Background(), cfgs)
 	if err != nil || len(ref.Failures) != 0 {
 		t.Fatalf("reference campaign: err=%v failures=%v", err, ref.Failures)

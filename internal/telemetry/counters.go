@@ -14,8 +14,8 @@ import "sync/atomic"
 // as the degraded group, so a long campaign's operator can see at a
 // glance whether results were produced cleanly or under degradation.
 type DegradationCounters struct {
-	// ReplayCorruptChunks counts recorded arena chunks whose checksum
-	// failed verification; ReplayFallbacks counts replayers that
+	// ReplayCorruptChunks counts recorded flag chunks and value pages
+	// whose checksum failed verification; ReplayFallbacks counts replayers that
 	// switched to live regeneration because of one.
 	ReplayCorruptChunks atomic.Int64
 	ReplayFallbacks     atomic.Int64

@@ -5,7 +5,8 @@
 # stack (internal/sim + internal/runner + internal/telemetry +
 # internal/replay + internal/fault) and of the machine recycling it
 # shares across runs (internal/cache + internal/replacement +
-# internal/recycle), the chaos suite (fault matrix +
+# internal/recycle), a fuzz smoke of the ranked LRU (policy-check), the
+# chaos suite (fault matrix +
 # crash-recovery property tests, race-enabled — including the SIGKILL
 # restart-and-resume property test against a real pinted process), and
 # the race-enabled pinted service smoke (serve-check).
@@ -25,9 +26,9 @@ BENCHOUT ?= BENCH_$(shell date +%F).json
 BENCHBASE ?= $(shell git ls-files 'BENCH_*.json' | grep -v "^$(BENCHOUT)$$" | sort | tail -1)
 BENCHTOL ?= 1.0
 
-.PHONY: ci fmt vet build test race replay-check sample-check chaos serve-check store-check bench bench-smoke
+.PHONY: ci fmt vet build test race policy-check replay-check sample-check chaos serve-check store-check bench bench-smoke
 
-ci: fmt vet build test race chaos replay-check sample-check serve-check store-check bench-smoke
+ci: fmt vet build test race policy-check chaos replay-check sample-check serve-check store-check bench-smoke
 
 fmt:
 	@unformatted=$$(gofmt -l .); \
@@ -55,6 +56,14 @@ race:
 	$(GO) test -race ./internal/sim/... ./internal/runner/... \
 		./internal/telemetry/... ./internal/replay/... ./internal/fault/... \
 		./internal/cache/... ./internal/replacement/... ./internal/recycle/...
+
+# Replacement-policy gate: 10 s of FuzzLRURanks, the 16-bit per-set LRU
+# ranks against a global-clock reference LRU over arbitrary fill/hit/
+# promote/invalidate sequences, with bursts that force sets to renumber
+# (Victim, StackEnd, AtStackEnd and HitPosition must agree after every
+# step).
+policy-check:
+	$(GO) test -run '^$$' -fuzz FuzzLRURanks -fuzztime 10s -parallel 2 ./internal/replacement
 
 # Chaos suite: the fault-injection matrix, the randomized crash-recovery
 # property tests, the fuzzed corruption contract of the result store's

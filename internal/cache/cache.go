@@ -16,21 +16,25 @@ import (
 // BlockBytes is the cache block (line) size used throughout the model.
 const BlockBytes = 64
 
-// Block is one cache line's metadata. The block's tag lives in the
-// cache's parallel tags array (the way-scan path), not here, keeping the
-// per-line metadata to a handful of bytes.
+// Block is one cache line's metadata: two bytes. The block's tag lives
+// in the cache's parallel tags array (the way-scan path), not here.
 type Block struct {
-	Valid bool
-	Dirty bool
-	// Prefetched is set on prefetch fills and cleared on the first
-	// demand hit (at which point the prefetch counts as useful).
-	Prefetched bool
-	// SysInvalid marks a slot whose contents were invalidated by the
-	// PInTE engine; the next fill into it is a "mock theft" (Fig 2b).
-	SysInvalid bool
+	flags uint8 // blockValid | blockDirty | blockPrefetched | blockSysInvalid
 	// Owner is the id of the core that inserted the block.
 	Owner int8
 }
+
+// Block flag bits.
+const (
+	blockValid uint8 = 1 << iota
+	blockDirty
+	// blockPrefetched is set on prefetch fills and cleared on the first
+	// demand hit (at which point the prefetch counts as useful).
+	blockPrefetched
+	// blockSysInvalid marks a slot whose contents were invalidated by
+	// the PInTE engine; the next fill into it is a "mock theft" (Fig 2b).
+	blockSysInvalid
+)
 
 // Victim describes a block displaced by a fill or invalidation.
 type Victim struct {
@@ -410,12 +414,12 @@ func (c *Cache) Lookup(addr uint64, core int, isWrite bool) bool {
 			c.Stats.ReuseHistCore[core][pos]++
 		}
 		c.Stats.Hits[core]++
-		if b.Prefetched {
-			b.Prefetched = false
+		if b.flags&blockPrefetched != 0 {
+			b.flags &^= blockPrefetched
 			c.Stats.PrefetchUseful++
 		}
 		if isWrite {
-			b.Dirty = true
+			b.flags |= blockDirty
 		}
 		c.memoTag[set] = tag
 		c.memoWay[set] = int32(w)
@@ -454,9 +458,9 @@ func (c *Cache) TryRepeatHit(addr uint64, core int, isWrite bool) bool {
 // equivalent for every shipped policy: the memo block already received
 // OnHit when the memo was established, a second OnHit on the set's most
 // recently touched way is idempotent for pLRU, nMRU and RRIP, and for
-// timestamp LRU it changes only the block's absolute age — victim choice
-// and stack positions compare ages within the set, and the memo block is
-// already the set's youngest. HitPosition on the unchanged set state is
+// ranked LRU it changes only the block's absolute rank — victim choice
+// and stack positions compare ranks within the set, and the memo block
+// is already the set's youngest. HitPosition on the unchanged set state is
 // deterministic, so it is computed once and cached. The Prefetched bit
 // needs no check: the slow-path hit that established the memo cleared it.
 func (c *Cache) repeatHit(addr uint64, set, core int, isWrite bool) {
@@ -475,7 +479,7 @@ func (c *Cache) repeatHit(addr uint64, set, core int, isWrite bool) {
 	}
 	c.Stats.Hits[core]++
 	if isWrite {
-		c.blocks[set*c.ways+int(c.memoWay[set])].Dirty = true
+		c.blocks[set*c.ways+int(c.memoWay[set])].flags |= blockDirty
 	}
 	if c.observer != nil {
 		c.observer(addr, core, true)
@@ -513,7 +517,7 @@ func (c *Cache) Fill(addr uint64, core int, dirty, prefetched bool) Victim {
 					// demand paths, or a writeback allocating over an
 					// existing copy): update flags.
 					if dirty {
-						c.blocks[base+w].Dirty = true
+						c.blocks[base+w].flags |= blockDirty
 					}
 					return Victim{}
 				}
@@ -538,7 +542,7 @@ func (c *Cache) Fill(addr uint64, core int, dirty, prefetched bool) Victim {
 	// Partitioned: fills are restricted to the core's way mask.
 	if w := c.findWay(set, tag); w >= 0 {
 		if dirty {
-			c.blocks[base+w].Dirty = true
+			c.blocks[base+w].flags |= blockDirty
 		}
 		return Victim{}
 	}
@@ -567,14 +571,20 @@ func (c *Cache) Fill(addr uint64, core int, dirty, prefetched bool) Victim {
 // insert writes a new block into (set, way), which must be invalid.
 func (c *Cache) insert(set, way int, tag uint64, core int, dirty, prefetched bool) {
 	b := &c.blocks[set*c.ways+way]
-	if b.SysInvalid {
+	if b.flags&blockSysInvalid != 0 {
 		// The PInTE engine hollowed this slot out; inserting on it is
 		// the "mock theft" of Fig 2b: the workload behaves as if an
 		// adversary's block had been here.
 		c.Stats.MockThefts[core]++
-		b.SysInvalid = false
 	}
-	*b = Block{Valid: true, Dirty: dirty, Prefetched: prefetched, Owner: int8(core)}
+	flags := blockValid
+	if dirty {
+		flags |= blockDirty
+	}
+	if prefetched {
+		flags |= blockPrefetched
+	}
+	*b = Block{flags: flags, Owner: int8(core)}
 	c.tags[set*c.ways+way] = tag
 	c.freeCnt[set]--
 	c.bustMemo(set)
@@ -597,19 +607,18 @@ func (c *Cache) evict(set, way, requester int) Victim {
 		Addr:  c.blockAddr(set, c.tags[set*c.ways+way]),
 		Owner: int(b.Owner),
 		Valid: true,
-		Dirty: b.Dirty,
+		Dirty: b.flags&blockDirty != 0,
 	}
 	if int(b.Owner) != requester {
 		v.Theft = true
 		c.Stats.TheftsCaused[requester]++
 		c.Stats.TheftsExperienced[b.Owner]++
 	}
-	if b.Dirty {
+	if v.Dirty {
 		c.Stats.Writebacks++
 	}
 	c.Stats.Occupancy[b.Owner]--
-	b.Valid = false
-	b.Dirty = false
+	b.flags &^= blockValid | blockDirty
 	c.tags[set*c.ways+way] = noTag
 	c.freeCnt[set]++
 	if c.lru == nil { // LRU.OnInvalidate is a documented no-op
@@ -631,10 +640,9 @@ func (c *Cache) InvalidateAddr(addr uint64) (found, dirty bool) {
 		return false, false
 	}
 	b := &c.blocks[set*c.ways+w]
-	dirty = b.Dirty
+	dirty = b.flags&blockDirty != 0
 	c.Stats.Occupancy[b.Owner]--
-	b.Valid = false
-	b.Dirty = false
+	b.flags &^= blockValid | blockDirty
 	c.tags[set*c.ways+w] = noTag
 	c.freeCnt[set]++
 	c.bustMemo(set)
@@ -652,10 +660,9 @@ func (c *Cache) Extract(addr uint64) (dirty, found bool) {
 		return false, false
 	}
 	b := &c.blocks[set*c.ways+w]
-	dirty = b.Dirty
+	dirty = b.flags&blockDirty != 0
 	c.Stats.Occupancy[b.Owner]--
-	b.Valid = false
-	b.Dirty = false
+	b.flags &^= blockValid | blockDirty
 	c.tags[set*c.ways+w] = noTag
 	c.freeCnt[set]++
 	c.bustMemo(set)
@@ -681,7 +688,7 @@ func (c *Cache) CapacityBlocks() uint64 { return uint64(c.sets * c.ways) }
 func (c *Cache) ResetStats() {
 	c.Stats = newStats(c.cfg.Cores, c.ways)
 	for i := range c.blocks {
-		if c.blocks[i].Valid {
+		if c.blocks[i].flags&blockValid != 0 {
 			c.Stats.Occupancy[c.blocks[i].Owner]++
 		}
 	}

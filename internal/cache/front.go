@@ -22,14 +22,15 @@ import "fmt"
 
 // FrontEvent is one demand access that left a core's L1 during a
 // capture pass: the part of the access the front end cannot price
-// point-independently.
+// point-independently. It is 16 bytes.
 type FrontEvent struct {
-	// Instr is the core's retiring-instruction index when the access
-	// issued (Instrs increments after retirement, so this equals the
-	// zero-based index of the triggering trace record).
-	Instr uint64
 	// Addr is the accessed data or fetch address.
 	Addr uint64
+	// Instr is the core's retiring-instruction index when the access
+	// issued, as an offset from the batch base (see StartBatch).
+	// Instrs increments after retirement, so base + Instr is the
+	// zero-based index of the triggering trace record.
+	Instr uint32
 	// Kind is the demand access type (Load, StoreAccess, Ifetch).
 	Kind AccessKind
 	// Descend marks an L2 miss: the follower must run the below-L2 leg
@@ -49,11 +50,17 @@ type FrontCapture struct {
 	WBAddrs []uint64
 
 	instrs *uint64
+	base   uint64
 	cur    FrontEvent
 }
 
+// StartBatch makes the driving core's current instruction index the
+// base that later events' Instr offsets count from. The executor calls
+// it before each batch; a batch must span fewer than 2^32 instructions.
+func (c *FrontCapture) StartBatch() { c.base = *c.instrs }
+
 func (c *FrontCapture) openEvent(addr uint64, kind AccessKind) {
-	c.cur = FrontEvent{Instr: *c.instrs, Addr: addr, Kind: kind}
+	c.cur = FrontEvent{Instr: uint32(*c.instrs - c.base), Addr: addr, Kind: kind}
 }
 
 func (c *FrontCapture) markDescend() { c.cur.Descend = true }

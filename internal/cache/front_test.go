@@ -97,9 +97,9 @@ func TestFrontCaptureMatchesInline(t *testing.T) {
 	// indices (non-decreasing, in range), descends mark exactly the
 	// in-line run's L2 misses, and the writeback queue is fully owned.
 	var descends, wbSum uint64
-	last := uint64(0)
+	last := uint32(0)
 	for _, ev := range cap.Events {
-		if ev.Instr < last || ev.Instr >= uint64(len(accs)) {
+		if ev.Instr < last || ev.Instr >= uint32(len(accs)) {
 			t.Fatalf("event stamp %d out of order (prev %d, total %d)", ev.Instr, last, len(accs))
 		}
 		last = ev.Instr
@@ -121,7 +121,7 @@ func TestFrontCaptureMatchesInline(t *testing.T) {
 	wb := 0
 	for _, ev := range cap.Events {
 		if ev.Descend {
-			replay.DescendLLC(0, ev.Addr, ev.Instr)
+			replay.DescendLLC(0, ev.Addr, uint64(ev.Instr))
 		}
 		for k := uint8(0); k < ev.WBs; k++ {
 			replay.WritebackToLLC(0, cap.WBAddrs[wb])

@@ -52,7 +52,7 @@ func ParseInclusion(s string) (Inclusion, error) {
 
 // AccessKind distinguishes the demand access types entering the
 // hierarchy.
-type AccessKind int
+type AccessKind uint8
 
 const (
 	// Load is a demand data read.
@@ -302,12 +302,21 @@ func MustNewHierarchy(cfg HierarchyConfig, mem Memory) *Hierarchy {
 // the goroutine that built the hierarchy releases it, once its run is
 // over; releasing twice is harmless.
 func (h *Hierarchy) Release() {
+	h.ReleasePrivate()
+	h.llc.Release()
+}
+
+// ReleasePrivate recycles every core's L1I, L1D and L2 arrays, leaving
+// only the LLC live: the below-L2 half of a fan-out digest follower
+// (DescendLLC, WritebackToLLC) never touches the private levels. A later
+// access through them panics like any use after release; their Stats
+// and hit latencies stay readable.
+func (h *Hierarchy) ReleasePrivate() {
 	for core := 0; core < h.cores; core++ {
 		h.l1i[core].Release()
 		h.l1d[core].Release()
 		h.l2[core].Release()
 	}
-	h.llc.Release()
 }
 
 // LLC returns the shared last-level cache (the PInTE attachment point).

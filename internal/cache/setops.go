@@ -15,12 +15,12 @@ type Injector interface {
 
 // BlockValid reports whether (set, way) holds valid data.
 func (c *Cache) BlockValid(set, way int) bool {
-	return c.blocks[set*c.ways+way].Valid
+	return c.blocks[set*c.ways+way].flags&blockValid != 0
 }
 
 // BlockDirty reports whether (set, way) is dirty.
 func (c *Cache) BlockDirty(set, way int) bool {
-	return c.blocks[set*c.ways+way].Dirty
+	return c.blocks[set*c.ways+way].flags&blockDirty != 0
 }
 
 // BlockOwner returns the core that inserted (set, way).
@@ -32,6 +32,16 @@ func (c *Cache) BlockOwner(set, way int) int {
 // replacement stack (PInTE BLOCK-SELECT).
 func (c *Cache) AtStackEnd(set, way int) bool {
 	return c.policy.AtStackEnd(set, way)
+}
+
+// StackEnd returns the lowest way of set at the eviction end of the
+// replacement stack, or -1 when there is none: BLOCK-SELECT's way-by-way
+// AtStackEnd scan in one call.
+func (c *Cache) StackEnd(set int) int {
+	if c.lru != nil {
+		return c.lru.StackEnd(set)
+	}
+	return c.policy.StackEnd(set)
 }
 
 // PromoteBlock moves (set, way) to the most-recently-used end of the
@@ -47,22 +57,20 @@ func (c *Cache) PromoteBlock(set, way int) {
 // the slot is marked so the next fill records a mock theft.
 func (c *Cache) SysInvalidate(set, way int) {
 	b := &c.blocks[set*c.ways+way]
-	if !b.Valid {
+	if b.flags&blockValid == 0 {
 		return
 	}
 	owner := int(b.Owner)
 	c.Stats.InducedThefts[owner]++
 	c.Stats.TheftsExperienced[owner]++
-	if b.Dirty {
+	if b.flags&blockDirty != 0 {
 		c.Stats.Writebacks++
 		if c.wbSink != nil {
 			c.wbSink(c.blockAddr(set, c.tags[set*c.ways+way]))
 		}
 	}
 	c.Stats.Occupancy[owner]--
-	b.Valid = false
-	b.Dirty = false
-	b.SysInvalid = true
+	b.flags = b.flags&^(blockValid|blockDirty) | blockSysInvalid
 	c.tags[set*c.ways+way] = noTag
 	c.freeCnt[set]++
 	c.bustMemo(set)

@@ -160,6 +160,48 @@ func triggerFires(draw, p float64) bool { return draw < p }
 // the flow itself — the system acts as the adversary for every core —
 // but kept for symmetry with the hook signature).
 func (e *Engine) OnLLCAccess(c *cache.Cache, set, requester int) {
+	if e.Trace != nil {
+		e.traced(c, set)
+		return
+	}
+	e.Stats.Accesses++
+	v := &e.Stats.StateVisits
+	v[StateGenProbability]++
+	v[StateExit]++
+	if !triggerFires(e.rng.Float64(), e.params.PInduce) {
+		return
+	}
+	e.Stats.Triggers++
+	v[StateGenEvictCnt]++
+	ways := c.Ways()
+	budget := e.rng.IntN(ways + 1)
+	e.Stats.EvictBudget += uint64(budget)
+	for ; budget > 0; budget-- {
+		// One BLOCK-SELECT walk from way 0, found in a single pass:
+		// the walk visits every way up to the stack end, or all of
+		// them when none is there.
+		w := c.StackEnd(set)
+		if w < 0 {
+			v[StateBlockSelect] += uint64(ways)
+			return
+		}
+		v[StateBlockSelect] += uint64(w + 1)
+		v[StatePromote]++
+		c.PromoteBlock(set, w)
+		e.Stats.Promotions++
+		if c.BlockValid(set, w) {
+			v[StateInvalidate]++
+			c.SysInvalidate(set, w)
+			e.Stats.Invalidations++
+		}
+		v[StateDecrement]++
+	}
+}
+
+// traced is OnLLCAccess stepping the Fig 4 state machine one state at a
+// time, reporting every step to Trace: BLOCK-SELECT emits one event per
+// way it visits. Its Stats equal the untraced path's.
+func (e *Engine) traced(c *cache.Cache, set int) {
 	e.Stats.Accesses++
 	ways := c.Ways()
 
@@ -168,9 +210,7 @@ func (e *Engine) OnLLCAccess(c *cache.Cache, set, requester int) {
 	w := 0
 	for state != StateExit {
 		e.Stats.StateVisits[state]++
-		if e.Trace != nil {
-			e.Trace(Event{State: state, Set: set, Way: w})
-		}
+		e.Trace(Event{State: state, Set: set, Way: w})
 		switch state {
 		case StateGenProbability:
 			// Eq 2: trigger ratio = random / max-random, i.e. a

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -347,5 +348,38 @@ func TestPolicyContentionRatesComparable(t *testing.T) {
 	}
 	if max/min > 4 {
 		t.Errorf("contention rates differ >4x across policies: %v", rates)
+	}
+}
+
+// TestTracedPathMatchesFast: the untraced engine finds each BLOCK-SELECT
+// target with one StackEnd call and the traced one walks way by way; under
+// every policy, with the same seed and the same accesses, both must leave
+// identical engine and cache statistics.
+func TestTracedPathMatchesFast(t *testing.T) {
+	for _, pol := range replacement.Names() {
+		for _, p := range []float64{0.05, 0.5, 1} {
+			var got [2]Stats
+			var llc [2]cache.Stats
+			for i := range got {
+				c := demoCache(t, 16, 8, pol)
+				e := MustNewEngine(Params{PInduce: p, Seed: 31})
+				events := 0
+				if i == 1 {
+					e.Trace = func(Event) { events++ }
+				}
+				c.SetInjector(e)
+				drive(c, 20_000, 3000)
+				if i == 1 && events == 0 {
+					t.Fatalf("%s: traced engine emitted no events", pol)
+				}
+				got[i], llc[i] = e.Stats, c.Stats
+			}
+			if got[0] != got[1] {
+				t.Errorf("%s p=%v: engine stats differ:\nfast   %+v\ntraced %+v", pol, p, got[0], got[1])
+			}
+			if !reflect.DeepEqual(llc[0], llc[1]) {
+				t.Errorf("%s p=%v: cache stats differ", pol, p)
+			}
+		}
 	}
 }

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/branch"
 	"repro/internal/cache"
+	"repro/internal/recycle"
 	"repro/internal/trace"
 )
 
@@ -144,13 +145,25 @@ func NewCore(id int, cfg Config, r trace.Reader, h *cache.Hierarchy, bp branch.P
 		c.slice = sr
 	} else if br, ok := r.(trace.BatchReader); ok {
 		c.batch = br
-		c.recs = make([]trace.Record, batchSize)
+		c.recs = recycle.Get[trace.Record](batchSize)
 	}
 	c.mlpShift = -1
 	if mlp := c.cfg.MLP; mlp&(mlp-1) == 0 {
 		c.mlpShift = bits.TrailingZeros(uint(mlp))
 	}
 	return c
+}
+
+// Release hands the core's batch buffer back for the next core (see
+// internal/recycle); the core is unusable afterwards. Only the batch path
+// owns its buffer: a slice-path core's records belong to its reader.
+// Releasing twice is harmless.
+func (c *Core) Release() {
+	if c.batch != nil {
+		recycle.Put(c.recs)
+	}
+	c.recs = nil
+	c.recPos, c.recLen = 0, 0
 }
 
 // Done reports whether the core's trace is exhausted.

@@ -75,6 +75,17 @@ func (p *NMRU) Victim(set int) int {
 // candidate, so PInTE may inject on any of them.
 func (p *NMRU) AtStackEnd(set, way int) bool { return int(p.mru[set]) != way }
 
+// StackEnd implements Policy: the first non-MRU way.
+func (p *NMRU) StackEnd(set int) int {
+	if p.mru[set] != 0 {
+		return 0
+	}
+	if p.ways > 1 {
+		return 1
+	}
+	return -1
+}
+
 // HitPosition implements Policy. nMRU orders only {MRU, everything else};
 // non-MRU hits report the middle of the stack as their position.
 func (p *NMRU) HitPosition(set, way int) int {

@@ -106,6 +106,10 @@ func (p *PLRU) Victim(set int) int {
 // AtStackEnd implements Policy: way is the tree's current victim.
 func (p *PLRU) AtStackEnd(set, way int) bool { return p.Victim(set) == way }
 
+// StackEnd implements Policy: the tree's current victim is the only way
+// at the stack end.
+func (p *PLRU) StackEnd(set int) int { return p.Victim(set) }
+
 // HitPosition implements Policy. pLRU has no total order; the
 // approximation treats each tree level's bit as one binary digit of the
 // position: a way whose entire path agrees with the victim pointer is at

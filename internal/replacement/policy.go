@@ -41,6 +41,11 @@ type Policy interface {
 	// this to find injection targets.
 	AtStackEnd(set, way int) bool
 
+	// StackEnd returns the lowest way for which AtStackEnd holds, or -1
+	// when none does, without changing any state: one pass over the set
+	// where a way-by-way AtStackEnd scan costs one pass per way.
+	StackEnd(set int) int
+
 	// Promote moves way to the most-recently-used end of the stack, as
 	// if it had just been inserted. PInTE's PROMOTE state uses this to
 	// mimic an adversary's insertion.

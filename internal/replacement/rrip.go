@@ -77,6 +77,19 @@ func (p *RRIP) AtStackEnd(set, way int) bool {
 	return true
 }
 
+// StackEnd implements Policy: the first way holding the set's maximum
+// RRPV. Unlike Victim it does not age the set.
+func (p *RRIP) StackEnd(set int) int {
+	base := set * p.ways
+	best := 0
+	for w := 1; w < p.ways; w++ {
+		if p.rrpv[base+w] > p.rrpv[base+best] {
+			best = w
+		}
+	}
+	return best
+}
+
 // HitPosition implements Policy: RRPV scaled onto the stack range.
 func (p *RRIP) HitPosition(set, way int) int {
 	return int(p.rrpv[set*p.ways+way]) * (p.ways - 1) / rrpvMax

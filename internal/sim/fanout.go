@@ -374,7 +374,9 @@ func (fr *fanFront) rearm() {
 // frontFeed is the front core's trace reader: it seals and publishes the
 // previous batch's digest before blocking on the barrier for the next
 // one — the order matters, since followers must hold digest g to finish
-// batch g and reach the barrier for g+1. It deliberately does not
+// batch g and reach the barrier for g+1. The next batch's event
+// offsets count from the core's instruction index at that point, which
+// is the index of the batch's first record. It deliberately does not
 // implement trace.Rewinder: the primary streams are unbounded, so a
 // rewind request means the stream broke and the front must stop.
 type frontFeed struct {
@@ -383,6 +385,7 @@ type frontFeed struct {
 
 func (f *frontFeed) NextSlice() ([]trace.Record, error) {
 	f.fr.publish(nil)
+	f.fr.cap.StartBatch()
 	return f.fr.feed.NextSlice()
 }
 
@@ -524,8 +527,9 @@ func startFanDigest(norm []Config, idx []int, out chan<- fanDone) (*replay.Fan, 
 }
 
 // fanFollower is one point's private state in the digest executor: the
-// point-dependent machine (LLC, DRAM, engine) plus the cpu.Core timing
-// arithmetic replayed over digests.
+// point-dependent machine (LLC, DRAM, engine; the hierarchy's private
+// levels are released once their hit latencies are read) plus the
+// cpu.Core timing arithmetic replayed over digests.
 type fanFollower struct {
 	cfg    Config
 	hier   *cache.Hierarchy
@@ -606,6 +610,9 @@ func runFanFollower(cfg Config, cpuCfg cpu.Config, fr *fanFront, rd *replay.FanR
 	st.l1iLat = hier.L1I(0).HitLatency()
 	st.l1dLat = hier.L1D(0).HitLatency()
 	st.l2Lat = hier.L2(0).HitLatency()
+	// The digest carries the front's L1/L2 outcomes; a follower only
+	// ever descends below the L2, so it keeps just its LLC.
+	hier.ReleasePrivate()
 
 	if cfg.WarmupInstrs == 0 {
 		st.enterROI()
@@ -660,17 +667,19 @@ func (st *fanFollower) enterROI() {
 // (which accesses left the L1, their L2 victims, which branches
 // mispredicted) read from the digest instead of recomputed. Event
 // matching is cursor-order: the front emits events in issue order
-// (ifetch, loads, store) stamped with the instruction index.
+// (ifetch, loads, store) stamped with the instruction's offset in the
+// batch, which is its index k in view.
 func (st *fanFollower) runBatch(view []trace.Record, d *fanDigest) (bool, error) {
 	ev, wbs, misp := d.events, d.wbs, d.misp
 	evPos, wbPos, mispPos := 0, 0, 0
 	for k := range view {
 		rec := &view[k]
 		i := st.instrs
+		off := uint32(k)
 
 		// Instruction fetch: an event means the fetch left the L1I; its
 		// latency beyond the L1I hit stalls the front end.
-		if evPos < len(ev) && ev[evPos].Instr == i && ev[evPos].Kind == cache.Ifetch {
+		if evPos < len(ev) && ev[evPos].Instr == off && ev[evPos].Kind == cache.Ifetch {
 			e := &ev[evPos]
 			evPos++
 			il := st.l1iLat + st.l2Lat
@@ -704,17 +713,17 @@ func (st *fanFollower) runBatch(view []trace.Record, d *fanDigest) (bool, error)
 
 		if rec.Load0 != 0 {
 			st.stats.Loads++
-			evPos, wbPos = st.load(rec.Load0, rec.Dependent, i, ev, evPos, wbs, wbPos)
+			evPos, wbPos = st.load(rec.Load0, rec.Dependent, off, ev, evPos, wbs, wbPos)
 		}
 		if rec.Load1 != 0 {
 			st.stats.Loads++
-			evPos, wbPos = st.load(rec.Load1, false, i, ev, evPos, wbs, wbPos)
+			evPos, wbPos = st.load(rec.Load1, false, off, ev, evPos, wbs, wbPos)
 		}
 
 		if rec.Store != 0 {
 			st.stats.Stores++
 			lat := st.l1dLat
-			if evPos < len(ev) && ev[evPos].Instr == i && ev[evPos].Kind == cache.StoreAccess {
+			if evPos < len(ev) && ev[evPos].Instr == off && ev[evPos].Kind == cache.StoreAccess {
 				e := &ev[evPos]
 				evPos++
 				lat = st.l1dLat + st.l2Lat
@@ -757,9 +766,9 @@ func (st *fanFollower) runBatch(view []trace.Record, d *fanDigest) (bool, error)
 // outcome read from the digest. Loads with no event settled at the L1D
 // hit latency (plain hit or repeat-hit fast path — both price and count
 // identically).
-func (st *fanFollower) load(addr uint64, dependent bool, i uint64, ev []cache.FrontEvent, evPos int, wbs []uint64, wbPos int) (int, int) {
+func (st *fanFollower) load(addr uint64, dependent bool, off uint32, ev []cache.FrontEvent, evPos int, wbs []uint64, wbPos int) (int, int) {
 	lat := st.l1dLat
-	if evPos < len(ev) && ev[evPos].Instr == i && ev[evPos].Kind == cache.Load && ev[evPos].Addr == addr {
+	if evPos < len(ev) && ev[evPos].Instr == off && ev[evPos].Kind == cache.Load && ev[evPos].Addr == addr {
 		e := &ev[evPos]
 		evPos++
 		lat = st.l1dLat + st.l2Lat

@@ -231,6 +231,7 @@ func runSampled(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	defer release(bp0)
 	core0 := cpu.NewCore(0, cpuCfg, src, hier, bp0)
+	defer core0.Release()
 	sys := cpu.NewSystem(core0)
 	sys.RestartFinished = true
 

@@ -486,6 +486,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	defer release(bp0)
 	core0 := cpu.NewCore(0, cpuCfg, gen0, hier, bp0)
+	defer core0.Release()
 	sys := cpu.NewSystem(core0)
 	sys.RestartFinished = true
 
@@ -544,7 +545,9 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 				return nil, err
 			}
 			defer release(bp)
-			sys.Cores = append(sys.Cores, cpu.NewCore(1+i, advCPU, gen, hier, bp))
+			adv := cpu.NewCore(1+i, advCPU, gen, hier, bp)
+			defer adv.Release()
+			sys.Cores = append(sys.Cores, adv)
 		}
 	}
 

@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"bytes"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/phase"
@@ -188,5 +191,53 @@ func TestSampleEligible(t *testing.T) {
 	bad.Sample = &phase.Plan{Windows: []phase.Window{{End: 1, CoverInstrs: 1}}}
 	if _, err := Run(bad); err == nil {
 		t.Fatal("ineligible config with a plan must be rejected")
+	}
+}
+
+// TestSampledGolden locks the sampled executor's output byte for byte,
+// as TestGoldenDeterminism does for full runs: 403.gcc under a plan
+// clustered from its own telemetry profile, in Isolation and in PInTE
+// mode. Regenerate with
+//
+//	go test ./internal/sim -run TestSampledGolden -update
+func TestSampledGolden(t *testing.T) {
+	for _, mode := range []Mode{Isolation, PInTE} {
+		t.Run(mode.String(), func(t *testing.T) {
+			cfg := Config{
+				Mode: mode, Workload: "403.gcc",
+				WarmupInstrs: 64_000, ROIInstrs: 512_000, Seed: 9,
+			}
+			if mode == PInTE {
+				cfg.PInduce = 0.2
+			}
+			plan := profileAndPlan(t, cfg, 16_000)
+			if plan.Phases < 2 {
+				t.Fatalf("phased preset clustered into %d phase(s)", plan.Phases)
+			}
+			scfg := cfg
+			scfg.Sample = plan
+			res, err := Run(scfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Sampled == nil || res.Sampled.InstrsSkipped == 0 {
+				t.Fatal("run did not execute under its sampling plan")
+			}
+			got := goldenBytes(t, res)
+			path := filepath.Join("testdata", "golden_sampled_"+mode.String()+".json")
+			if *update {
+				if err := os.WriteFile(path, got, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("read golden (regenerate with -update): %v", err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("sampled result for %v diverged from golden %s", mode, path)
+			}
+		})
 	}
 }

@@ -1,5 +1,6 @@
 # Build/test entry points. `make ci` is the gate every PR must pass:
-# formatting, vet, a full build, the full test suite (which includes the
+# formatting, vet, a full build, a vet of the nested bench module, the
+# full test suite (which includes the
 # telemetry-enabled golden determinism check and the AllocsPerRun == 0
 # collector guard), a race-checked run of the concurrent execution
 # stack (internal/sim + internal/runner + internal/telemetry +
@@ -26,9 +27,9 @@ BENCHOUT ?= BENCH_$(shell date +%F).json
 BENCHBASE ?= $(shell git ls-files 'BENCH_*.json' | grep -v "^$(BENCHOUT)$$" | sort | tail -1)
 BENCHTOL ?= 1.0
 
-.PHONY: ci fmt vet build test race policy-check replay-check sample-check chaos serve-check store-check bench bench-smoke
+.PHONY: ci fmt vet build bench-build test race policy-check replay-check sample-check chaos serve-check store-check bench bench-smoke
 
-ci: fmt vet build test race policy-check chaos replay-check sample-check serve-check store-check bench-smoke
+ci: fmt vet build bench-build test race policy-check chaos replay-check sample-check serve-check store-check bench-smoke
 
 fmt:
 	@unformatted=$$(gofmt -l .); \
@@ -48,6 +49,11 @@ vet:
 
 build:
 	$(GO) build ./...
+
+# The benchmark program is its own module (repro/bench), which the root
+# build skips: vet it so an internal API change that breaks it fails here.
+bench-build:
+	cd bench && $(GO) vet ./...
 
 test:
 	$(GO) test ./...

@@ -251,6 +251,26 @@ func Hang() {
 	}
 }
 
+// Worker injects the worker sites at the start of a run: worker.panic
+// panics, worker.slow stalls for its delay, worker.hang blocks until
+// Disable. The orchestrator's per-run worker and every fan-out point
+// call it, so a chaos schedule reaches a run however it is executed.
+// With injection disabled it is one atomic load.
+func Worker() {
+	if !enabled.Load() {
+		return
+	}
+	if Fires(SiteWorkerPanic) {
+		panic(fmt.Sprintf("%v at %s", ErrInjected, SiteWorkerPanic))
+	}
+	if d := Delay(SiteWorkerSlow); d > 0 {
+		time.Sleep(d)
+	}
+	if Fires(SiteWorkerHang) {
+		Hang()
+	}
+}
+
 // Snapshot returns per-site counters since Enable, keyed by site name.
 func Snapshot() map[string]SiteStats {
 	mu.RLock()

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -150,6 +151,51 @@ func TestHangReleasedByDisable(t *testing.T) {
 	case <-done:
 	case <-time.After(time.Second):
 		t.Fatal("Disable did not release Hang")
+	}
+}
+
+// TestFaultWorkerSites checks the worker helper arms each worker site:
+// a no-op when disabled, a panic naming worker.panic, worker.slow's
+// stall, and a worker.hang that only Disable releases.
+func TestFaultWorkerSites(t *testing.T) {
+	Disable()
+	Worker()
+
+	arm(t, 1)
+	Set(SiteWorkerPanic, Spec{Every: 1, Limit: 1})
+	func() {
+		defer func() {
+			r := recover()
+			if msg, _ := r.(string); !strings.Contains(msg, SiteWorkerPanic) {
+				t.Errorf("worker.panic recovered %v, want a panic naming the site", r)
+			}
+		}()
+		Worker()
+	}()
+
+	Set(SiteWorkerSlow, Spec{Every: 1, Limit: 1, Delay: 20 * time.Millisecond})
+	start := time.Now()
+	Worker()
+	if time.Since(start) < 20*time.Millisecond {
+		t.Error("worker.slow did not stall")
+	}
+
+	Set(SiteWorkerHang, Spec{Every: 1})
+	done := make(chan struct{})
+	go func() {
+		Worker()
+		close(done)
+	}()
+	select {
+	case <-done:
+		t.Fatal("worker.hang returned while enabled")
+	case <-time.After(10 * time.Millisecond):
+	}
+	Disable()
+	select {
+	case <-done:
+	case <-time.After(time.Second):
+		t.Fatal("Disable did not release worker.hang")
 	}
 }
 

@@ -321,34 +321,40 @@ func TestWatchdogConvertsHangToStalled(t *testing.T) {
 }
 
 // TestBackoffDelayShape pins the backoff curve: exponential doubling
-// from the base, capped, with jitter inside ±25% and deterministic for a
-// given (seed, attempt).
+// from the base, capped at backoffCap×base, with jitter inside ±25% and
+// deterministic for a given (seed, attempt).
 func TestBackoffDelayShape(t *testing.T) {
-	const base, max = 100 * time.Millisecond, 400 * time.Millisecond
-	for attempt := 1; attempt <= 6; attempt++ {
+	const base = 100 * time.Millisecond
+	const max = backoffCap * base
+	capped := 0
+	for attempt := 1; attempt <= 8; attempt++ {
 		ideal := base << (attempt - 1)
-		if ideal > max {
+		if ideal >= max {
 			ideal = max
+			capped++
 		}
-		d := backoffDelay(base, max, attempt, 42)
+		d := backoffDelay(base, attempt, 42)
 		lo := time.Duration(float64(ideal) * 0.75)
 		hi := time.Duration(float64(ideal) * 1.25)
 		if d < lo || d > hi {
 			t.Errorf("attempt %d: delay %v outside [%v, %v]", attempt, d, lo, hi)
 		}
-		if d2 := backoffDelay(base, max, attempt, 42); d2 != d {
+		if d2 := backoffDelay(base, attempt, 42); d2 != d {
 			t.Errorf("attempt %d: backoff not deterministic: %v != %v", attempt, d, d2)
 		}
 	}
-	if backoffDelay(0, 0, 3, 1) != 0 {
+	if capped < 2 {
+		t.Fatalf("only %d attempts reached the %v cap; the loop must cross it", capped, max)
+	}
+	if backoffDelay(0, 3, 1) != 0 {
 		t.Error("zero base must disable backoff")
 	}
-	if backoffDelay(base, max, 0, 1) != 0 {
+	if backoffDelay(base, 0, 1) != 0 {
 		t.Error("attempt 0 must not back off")
 	}
 	// Overflow guard: an absurd attempt count stays at the cap.
-	if d := backoffDelay(base, max, 500, 9); d <= 0 || d > time.Duration(float64(max)*1.25) {
-		t.Errorf("attempt 500: delay %v escaped the cap", d)
+	if d := backoffDelay(base, 500, 9); d < time.Duration(float64(max)*0.75) || d > time.Duration(float64(max)*1.25) {
+		t.Errorf("attempt 500: delay %v outside the cap's jitter band", d)
 	}
 }
 
@@ -377,7 +383,7 @@ func TestBackoffUsesFakeClock(t *testing.T) {
 		t.Fatalf("slept %d times, want 3 (one per retry)", len(slept))
 	}
 	for i, d := range slept {
-		want := backoffDelay(50*time.Millisecond, 0, i+1, cfg.Seed)
+		want := backoffDelay(50*time.Millisecond, i+1, cfg.Seed)
 		if d != want {
 			t.Errorf("retry %d slept %v, want %v", i+1, d, want)
 		}

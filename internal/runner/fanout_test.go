@@ -343,7 +343,7 @@ func TestFanoutFallbackReentersBackoffLadder(t *testing.T) {
 	if len(slept) != 1 {
 		t.Fatalf("fallback slept %d times (%v), want exactly 1 backoff pause", len(slept), slept)
 	}
-	if want := backoffDelay(base, 0, 1, cfgs[0].Seed); slept[0] != want {
+	if want := backoffDelay(base, 1, cfgs[0].Seed); slept[0] != want {
 		t.Errorf("fallback slept %v, want the ladder's rung-1 delay %v", slept[0], want)
 	}
 }

@@ -61,14 +61,12 @@ type Options struct {
 	// with PerturbSeed so a deterministically crashing run can escape.
 	Retries int
 	// Backoff, when positive, is the base delay inserted before retry
-	// attempt n: Backoff << (n-1), capped at BackoffMax, with a
+	// attempt n: Backoff << (n-1), capped at 16×Backoff, with a
 	// deterministic ±25% jitter derived from the config seed and attempt
 	// number so resumed campaigns pause identically while concurrent
 	// retries still decorrelate. 0 retries immediately (the previous
 	// behaviour).
 	Backoff time.Duration
-	// BackoffMax caps the exponential backoff; 0 means 16×Backoff.
-	BackoffMax time.Duration
 	// StallGrace arms the stuck-run watchdog: a run whose context has
 	// expired gets this much longer to return on its own before the
 	// orchestrator abandons the wedged goroutine and fails the attempt
@@ -338,18 +336,19 @@ func PerturbSeed(seed uint64, attempt int) uint64 {
 	return seed ^ uint64(attempt)*0x9e3779b97f4a7c15
 }
 
+// backoffCap bounds the exponential backoff at this multiple of its base.
+const backoffCap = 16
+
 // backoffDelay computes the pause before retry attempt n (n >= 1) of a
-// run with the given original seed: base << (n-1), capped at max (or
-// 16×base when max is 0), with a deterministic ±25% jitter so a resumed
+// run with the given original seed: base << (n-1), capped at
+// backoffCap×base, with a deterministic ±25% jitter so a resumed
 // campaign replays the same pauses while concurrent retries of
 // different configs decorrelate instead of thundering together.
-func backoffDelay(base, max time.Duration, attempt int, seed uint64) time.Duration {
+func backoffDelay(base time.Duration, attempt int, seed uint64) time.Duration {
 	if base <= 0 || attempt < 1 {
 		return 0
 	}
-	if max <= 0 {
-		max = 16 * base
-	}
+	max := backoffCap * base
 	d := base
 	// Shift step-wise against the cap so a large attempt count can
 	// never overflow the duration into a negative sleep.
@@ -708,15 +707,7 @@ func (c *campaign) runOne(index int) (*sim.Result, int, *RunError) {
 		// the watchdog must convert into a typed failure.
 		inner := runFn
 		runFn = func(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
-			if fault.Fires(fault.SiteWorkerPanic) {
-				panic(fmt.Sprintf("%v at %s", fault.ErrInjected, fault.SiteWorkerPanic))
-			}
-			if d := fault.Delay(fault.SiteWorkerSlow); d > 0 {
-				time.Sleep(d)
-			}
-			if fault.Fires(fault.SiteWorkerHang) {
-				fault.Hang()
-			}
+			fault.Worker()
 			return inner(ctx, cfg)
 		}
 	}
@@ -749,7 +740,7 @@ func (c *campaign) runOne(index int) (*sim.Result, int, *RunError) {
 				o.logf("run %d (%s %s) re-enters the backoff ladder at rung %d after an in-group failure",
 					index, cfg.Mode, cfg.Workload, ladder)
 			}
-			if d := backoffDelay(o.opts.Backoff, o.opts.BackoffMax, ladder, cfg.Seed); d > 0 {
+			if d := backoffDelay(o.opts.Backoff, ladder, cfg.Seed); d > 0 {
 				o.sleep(ctx, d)
 				if ctx.Err() != nil {
 					err = sim.ErrCanceled

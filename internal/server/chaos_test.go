@@ -123,7 +123,7 @@ func TestChaosServerDrainWithFaultyManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A state transition under an injected manifest fault rolls back.
-	if err := s.Store().SetState(st2.ID, StateCanceled, "test", 0, 0); err == nil {
+	if err := s.Store().SetState(st2.ID, StateCanceled, "test", nil, 0); err == nil {
 		t.Fatal("SetState under manifest fault unexpectedly succeeded")
 	}
 	fault.Disable()

@@ -224,21 +224,36 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 }
 
 // streamFinished serves a finished campaign as the same NDJSON stream a
-// live campaign serves, in canonical config order: every run of its spec
-// that the result store holds, read back without counting a hit or a
-// miss. When the store holds fewer results than the campaign received —
-// some were evicted under a byte budget or written by another simulator
-// build — it answers 410 Gone, naming how many are missing, instead of a
-// silently partial stream; a resubmission gets whatever is still stored
-// back as hits and recomputes the rest.
+// live campaign serves, in canonical config order: the results it
+// received, read back from the result store without counting a hit or
+// a miss. Those are the indices in meta.Received, or every run of the
+// spec when Received does not account for every result (a done
+// campaign, which received them all, or a manifest written before the
+// field existed), so runs another campaign stored later never join the
+// stream. When any of them is no longer stored — evicted under a byte
+// budget or written by another simulator build — it answers 410 Gone,
+// naming how many are missing, instead of a silently partial stream; a
+// resubmission gets whatever is still stored back as hits and
+// recomputes the rest.
 func (s *Server) streamFinished(w http.ResponseWriter, meta CampaignMeta) {
+	cfgs := meta.Spec.Configs()
+	idx := meta.Received
+	if len(idx) != meta.Results {
+		idx = make([]int, len(cfgs))
+		for i := range idx {
+			idx[i] = i
+		}
+	}
 	var events []resultEvent
-	for i, cfg := range meta.Spec.Configs() {
-		key, err := runner.ConfigKey(cfg)
+	for _, i := range idx {
+		if i < 0 || i >= len(cfgs) {
+			continue
+		}
+		key, err := runner.ConfigKey(cfgs[i])
 		if err != nil {
 			continue
 		}
-		if res, ok := s.cfg.ResultStore.Peek(runner.RecordKeys(cfg, key, meta.Spec.Sample)...); ok {
+		if res, ok := s.cfg.ResultStore.Peek(runner.RecordKeys(cfgs[i], key, meta.Spec.Sample)...); ok {
 			events = append(events, resultEvent{Index: i, Key: key, FromStore: true, Result: res})
 		}
 	}

@@ -3,9 +3,11 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -13,6 +15,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/runner"
+	rstore "repro/internal/store"
 	"repro/internal/telemetry"
 )
 
@@ -150,6 +153,120 @@ func TestServeRestartLeavesFinishedCampaignsAlone(t *testing.T) {
 			t.Fatalf("restart %d rewrote the result store", restart)
 		}
 	}
+}
+
+// TestServeCanceledStreamGoneOnlyForOwnResults: a canceled campaign's
+// finished stream serves exactly the results it received, even after
+// another campaign has stored the runs it never got to, and evicting one
+// of its own results turns that stream into 410 Gone.
+func TestServeCanceledStreamGoneOnlyForOwnResults(t *testing.T) {
+	dir := t.TempDir()
+	openResults := func() *rstore.Store {
+		// One record per segment, so a single result can be evicted by
+		// removing its segment file.
+		st, err := rstore.Open(rstore.Options{Dir: filepath.Join(dir, "results"), Fingerprint: "sim-test", SegmentBytes: 1, Logf: t.Logf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	st := openResults()
+	s, ts := newTestServer(t, Config{Workers: 1, DataDir: dir, NoFanout: true, ResultStore: st})
+
+	// The first two runs complete, the third hangs until the owner's
+	// cancel is in, and the rest observe the canceled context.
+	if err := fault.Apply("seed=1;worker.hang:every=1,after=2,limit=1"); err != nil {
+		t.Fatal(err)
+	}
+	defer fault.Disable()
+	spec := tinySpec(0.05, 0.1, 0.3, 0.5, 0.7)
+	canceled := submitOK(t, ts, "bob", spec)
+	deadline := time.Now().Add(60 * time.Second)
+	for fault.Snapshot()[fault.SiteWorkerHang].Fires == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the third run never started")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	req, _ := http.NewRequest("DELETE", ts.URL+"/v1/campaigns/"+canceled.ID, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	fault.Disable() // release the hung run
+	waitState(t, ts, canceled.ID, StateCanceled)
+	waitIdle(t, s)
+	meta, _ := s.Store().Get(canceled.ID)
+	if meta.Results != 2 || len(meta.Received) != 2 {
+		t.Fatalf("canceled campaign persisted %d results at indices %v, want 2", meta.Results, meta.Received)
+	}
+	own, _ := streamResults(t, ts, canceled.ID)
+
+	// Another tenant's identical campaign stores every remaining run.
+	other := submitOK(t, ts, "alice", spec)
+	waitState(t, ts, other.ID, StateDone)
+	events, final := streamResults(t, ts, canceled.ID)
+	if final == nil || final["state"] != string(StateCanceled) {
+		t.Fatalf("canceled stream ended %v", final)
+	}
+	got := resultsByIndex(t, events)
+	if want := resultsByIndex(t, own); fmt.Sprint(got) != fmt.Sprint(want) || len(got) != 2 {
+		t.Fatalf("canceled stream served indices %v after another campaign stored the rest, want exactly %v",
+			keysOf(got), meta.Received)
+	}
+	for _, i := range meta.Received {
+		if _, ok := got[i]; !ok {
+			t.Fatalf("canceled stream lacks received index %d", i)
+		}
+	}
+
+	// Evict one of its own results: drop the segment holding it.
+	ts.Close()
+	s.Close()
+	st.Close()
+	paths, err := filepath.Glob(filepath.Join(dir, "results", "seg-*.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	evicted := 0
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(string(data), events[0].Key) {
+			if err := os.Remove(p); err != nil {
+				t.Fatal(err)
+			}
+			evicted++
+		}
+	}
+	if evicted != 1 {
+		t.Fatalf("result %s found in %d segments, want 1", events[0].Key, evicted)
+	}
+	st2 := openResults()
+	t.Cleanup(func() { st2.Close() })
+	_, ts2 := newTestServer(t, Config{Workers: 1, DataDir: dir, ResultStore: st2})
+	resp, err = http.Get(ts2.URL + "/v1/campaigns/" + canceled.ID + "/results")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusGone || !strings.Contains(string(body), "1 of the campaign's 2 results") {
+		t.Fatalf("stream after evicting one of its results: status %d (%s), want 410 naming 1 of 2", resp.StatusCode, body)
+	}
+}
+
+// keysOf lists a result map's indices in order.
+func keysOf(m map[int]string) []int {
+	out := make([]int, 0, len(m))
+	for i := range m {
+		out = append(out, i)
+	}
+	sort.Ints(out)
+	return out
 }
 
 // TestChaosServerFinalStateLostResumes stalls and then fails finalize's

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -85,11 +86,17 @@ func (c *campaign) record(index int, key string, res *sim.Result, fromStore bool
 	c.cond.Broadcast()
 }
 
-// received counts the results recorded so far.
-func (c *campaign) received() int {
+// received returns the config indices of the results recorded so far,
+// in config order.
+func (c *campaign) received() []int {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.events)
+	idx := make([]int, len(c.events))
+	for i, ev := range c.events {
+		idx[i] = ev.Index
+	}
+	c.mu.Unlock()
+	sort.Ints(idx)
+	return idx
 }
 
 // finish marks the stream complete with the campaign's final state.

@@ -59,6 +59,11 @@ type CampaignMeta struct {
 	// with the terminal state; a live campaign counts them in memory.
 	Results     int   `json:"results,omitempty"`
 	ResultBytes int64 `json:"result_bytes,omitempty"`
+	// Received lists, in config order, the indices of the results a
+	// canceled or failed campaign received, persisted with its terminal
+	// state: its finished stream serves exactly these. A done campaign
+	// received every run and leaves it empty.
+	Received []int `json:"received,omitempty"`
 }
 
 // manifest is the durable index of every campaign the service has
@@ -187,9 +192,11 @@ func (st *Store) Put(meta CampaignMeta) error {
 }
 
 // SetState transitions a campaign's durable state together with the
-// results it received and their stored bytes (with rollback on a failed
-// write), and stamps Finished for terminal states.
-func (st *Store) SetState(id string, state CampaignState, errMsg string, results int, resultBytes int64) error {
+// indices of the results it received and their stored bytes (with
+// rollback on a failed write), and stamps Finished for terminal states.
+// The indices themselves are kept only for a campaign that did not end
+// done.
+func (st *Store) SetState(id string, state CampaignState, errMsg string, received []int, resultBytes int64) error {
 	// Chaos: the manifest site armed with a delay is a slow disk. It
 	// stalls the transition before it takes the lock, so readers still
 	// see the prior state for the whole stall.
@@ -205,7 +212,10 @@ func (st *Store) SetState(id string, state CampaignState, errMsg string, results
 	old := *cur
 	cur.State = state
 	cur.Error = errMsg
-	cur.Results, cur.ResultBytes = results, resultBytes
+	cur.Results, cur.ResultBytes, cur.Received = len(received), resultBytes, nil
+	if state != StateDone {
+		cur.Received = received
+	}
 	if state != StateActive {
 		cur.Finished = time.Now().UTC()
 	} else {

@@ -38,9 +38,7 @@ import (
 
 	"repro/internal/branch"
 	"repro/internal/cache"
-	pinte "repro/internal/core"
 	"repro/internal/cpu"
-	"repro/internal/dram"
 	"repro/internal/fault"
 	"repro/internal/replay"
 	"repro/internal/telemetry"
@@ -254,33 +252,17 @@ func collectFan(ctx context.Context, abort func(error), ch <-chan fanDone, grace
 	}
 }
 
-// fanWorkerChaos mirrors the sequential worker's chaos injection sites
-// at fan-point granularity, so `make chaos` exercises a panicking, slow
-// or hung point inside a live group.
-func fanWorkerChaos() {
-	if !fault.Enabled() {
-		return
-	}
-	if fault.Fires(fault.SiteWorkerPanic) {
-		panic(fmt.Sprintf("%v at %s (fan-out)", fault.ErrInjected, fault.SiteWorkerPanic))
-	}
-	if d := fault.Delay(fault.SiteWorkerSlow); d > 0 {
-		time.Sleep(d)
-	}
-	if fault.Fires(fault.SiteWorkerHang) {
-		fault.Hang()
-	}
-}
-
 // runFanSolo runs one point the digest executor cannot take as a plain
-// per-run simulation, behind the same chaos sites as a follower.
+// per-run simulation, behind the same worker chaos sites as a follower
+// (fault.Worker), so `make chaos` exercises a panicking, slow or hung
+// point inside a live group.
 func runFanSolo(ctx context.Context, cfg Config) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, &PanicError{Value: r, Stack: debug.Stack()}
 		}
 	}()
-	fanWorkerChaos()
+	fault.Worker()
 	return RunContext(ctx, cfg)
 }
 
@@ -461,33 +443,19 @@ func startFanDigest(norm []Config, idx []int, out chan<- fanDone) (*replay.Fan, 
 	if err != nil {
 		return nil, err
 	}
-	streams := cfg0.Streams
-	if streams == nil {
-		streams = trace.Generate{}
-	}
-	src, err := streams.Source(spec, cfg0.Seed+1, 0)
-	if err == nil {
-		err = fault.Err(fault.SiteSimSource)
-	}
+	// The front drives the digest members' only decode, so under chaos
+	// the per-run trace.read site interposes on the shared stream: a
+	// fired fault fails every digest member, which then retry
+	// sequentially.
+	src, err := primarySource(cfg0, spec)
 	if err != nil {
 		return nil, err
-	}
-	if fault.Enabled() {
-		// The front drives the digest members' only decode, so the
-		// per-run trace.read site interposes on the shared stream: a
-		// fired fault fails every digest member, which then retry
-		// sequentially.
-		src = &faultSource{src: src}
 	}
 	n := len(idx)
 	// No rewind factory: frontFeed hides trace.Rewinder, and followers
 	// only call NextSlice.
 	fan := replay.NewFan(src, n+1, fanDigestBatch, nil)
-
-	cpuCfg := cfg0.CPU
-	if cpuCfg.MLP == 0 {
-		cpuCfg.MLP = spec.MLP
-	}
+	cpuCfg := primaryCPU(cfg0, spec)
 
 	fr := &fanFront{feed: fan.Reader(0), cap: &cache.FrontCapture{}}
 	fr.chans = make([]chan *fanDigest, n)
@@ -531,10 +499,8 @@ func startFanDigest(norm []Config, idx []int, out chan<- fanDone) (*replay.Fan, 
 // levels are released once their hit latencies are read) plus the
 // cpu.Core timing arithmetic replayed over digests.
 type fanFollower struct {
-	cfg    Config
-	hier   *cache.Hierarchy
-	mem    *dram.DRAM
-	engine *pinte.Engine
+	m    *machine
+	hier *cache.Hierarchy // m.hier, kept at hand for the pricing loop
 
 	instrs   uint64
 	cycles   uint64
@@ -549,9 +515,9 @@ type fanFollower struct {
 	mlp                   uint64
 	mlpShift              int
 
-	inROI                bool
-	roiEnd               uint64
-	roiStartI, roiStartC uint64
+	inROI  bool
+	roiEnd uint64
+	begin  counters // at ROI entry
 }
 
 // runFanFollower builds and drives one follower to completion.
@@ -563,41 +529,18 @@ func runFanFollower(cfg Config, cpuCfg cpu.Config, fr *fanFront, rd *replay.FanR
 		alive.Store(false)
 		rd.Detach()
 	}()
-	fanWorkerChaos()
+	fault.Worker()
 
-	dcfg := dram.Default()
-	if cfg.DRAM != nil {
-		dcfg = *cfg.DRAM
-	}
-	mem, err := dram.New(dcfg)
+	// The follower builds the same machine as a sequential run of its
+	// point; its primary core is the pricing loop below, whose counters
+	// the machine reads.
+	m, err := newMachine(cfg)
 	if err != nil {
 		return nil, err
 	}
-	hcfg := cfg.Hier
-	hcfg.Cores = 1
-	hcfg.Seed = cfg.Seed
-	hier, err := cache.NewHierarchy(hcfg, mem)
-	if err != nil {
-		return nil, err
-	}
-	defer hier.Release()
-	st := &fanFollower{cfg: cfg, hier: hier, mem: mem}
-	var engine *pinte.Engine
-	if cfg.Mode == PInTE {
-		eseed := cfg.EngineSeed
-		if eseed == 0 {
-			eseed = cfg.Seed + 7
-		}
-		engine, err = pinte.NewEngine(pinte.Params{PInduce: cfg.PInduce, Seed: eseed})
-		if err != nil {
-			return nil, err
-		}
-		hier.LLC().SetInjector(engine)
-		hier.LLC().SetWritebackSink(func(addr uint64) {
-			mem.Access(st.cycles, addr, true)
-		})
-	}
-	st.engine = engine
+	defer m.release()
+	st := &fanFollower{m: m, hier: m.hier}
+	m.instrs, m.cycles, m.cstats = &st.instrs, &st.cycles, &st.stats
 
 	rc := cpuCfg.Resolved()
 	st.width = rc.Width
@@ -607,12 +550,12 @@ func runFanFollower(cfg Config, cpuCfg cpu.Config, fr *fanFront, rd *replay.FanR
 	if mlp := rc.MLP; mlp&(mlp-1) == 0 {
 		st.mlpShift = bits.TrailingZeros(uint(mlp))
 	}
-	st.l1iLat = hier.L1I(0).HitLatency()
-	st.l1dLat = hier.L1D(0).HitLatency()
-	st.l2Lat = hier.L2(0).HitLatency()
+	st.l1iLat = m.hier.L1I(0).HitLatency()
+	st.l1dLat = m.hier.L1D(0).HitLatency()
+	st.l2Lat = m.hier.L2(0).HitLatency()
 	// The digest carries the front's L1/L2 outcomes; a follower only
 	// ever descends below the L2, so it keeps just its LLC.
-	hier.ReleasePrivate()
+	m.hier.ReleasePrivate()
 
 	if cfg.WarmupInstrs == 0 {
 		st.enterROI()
@@ -640,9 +583,13 @@ func runFanFollower(cfg Config, cpuCfg cpu.Config, fr *fanFront, rd *replay.FanR
 	}
 	st.smp.maybeSample(&st.samples)
 
+	// The private-level metrics come from the group's shared front,
+	// which followers may read only now, after the final digest. The
+	// follower's own private levels were never touched, so begin holds
+	// zeros for them.
 	res = &Result{Config: resultConfig(cfg), Samples: st.samples}
-	fillResultParts(res, st.instrs-st.roiStartI, st.cycles-st.roiStartC,
-		&st.stats, fr.hier, hier, engine)
+	m.front = fr.hier
+	m.finish(res, st.begin)
 	res.WallTime = time.Since(start)
 	return res, nil
 }
@@ -650,15 +597,10 @@ func runFanFollower(cfg Config, cpuCfg cpu.Config, fr *fanFront, rd *replay.FanR
 // enterROI mirrors RunContext's end-of-warm-up transition: reset event
 // counters (clocks keep running), pin the ROI window, arm the sampler.
 func (st *fanFollower) enterROI() {
-	st.hier.ResetStats()
-	st.stats = cpu.Stats{}
-	st.mem.Stats = dram.Stats{}
-	if st.engine != nil {
-		st.engine.ResetStats()
-	}
-	st.roiStartI, st.roiStartC = st.instrs, st.cycles
-	st.roiEnd = st.instrs + st.cfg.ROIInstrs
-	st.smp = newSampler(st.cfg, &st.instrs, &st.cycles, st.hier)
+	st.m.resetStats()
+	st.begin = st.m.snap()
+	st.roiEnd = st.instrs + st.m.cfg.ROIInstrs
+	st.smp = newSampler(st.m)
 	st.inROI = true
 }
 
@@ -744,7 +686,7 @@ func (st *fanFollower) runBatch(view []trace.Record, d *fanDigest) (bool, error)
 		st.instrs++
 		if st.instrs%fanQuantum == 0 {
 			if !st.inROI {
-				if st.instrs >= st.cfg.WarmupInstrs {
+				if st.instrs >= st.m.cfg.WarmupInstrs {
 					st.enterROI()
 				}
 			} else {

@@ -6,8 +6,8 @@ import (
 )
 
 // faultSource interposes the trace.read injection site on a core's
-// instruction stream. It exists only in chaos mode — RunContext wraps
-// the primary source with it solely when injection is enabled — so
+// instruction stream. It exists only in chaos mode — primarySource
+// wraps the primary stream with it solely when injection is enabled — so
 // production keeps the devirtualised hot call edge and the 0-alloc
 // read path untouched.
 type faultSource struct {

@@ -6,15 +6,9 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/branch"
-	"repro/internal/cache"
 	pinte "repro/internal/core"
-	"repro/internal/cpu"
-	"repro/internal/dram"
-	"repro/internal/fault"
 	"repro/internal/phase"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // SampleStats reports how a phase-sampled run spent its budget and how
@@ -55,127 +49,15 @@ func SampleEligible(cfg Config) bool {
 		c.TelemetryEvery == 0
 }
 
-// winSnap is one point-in-time capture of every counter the sampled
-// extrapolation differentiates across a window.
-type winSnap struct {
-	instrs, cycles uint64
-	core           cpu.Stats
-
-	l1dAcc, l1dMiss uint64
-	l2Acc, l2Miss   uint64
-	llcAcc, llcMiss uint64
-	theftsExp       uint64
-	dataAcc         uint64
-	dataLat         uint64
-	demFills        uint64
-	wbFills         uint64
-	pfIssued        uint64
-	pfFromDRAM      uint64
-	pfUseful        uint64
-	engine          pinte.Stats
-	occ             uint64
-}
-
-func snapWindow(core *cpu.Core, hier *cache.Hierarchy, engine *pinte.Engine) winSnap {
-	llc := &hier.LLC().Stats
-	s := winSnap{
-		instrs:     core.Instrs,
-		cycles:     core.Cycles,
-		core:       core.Stats,
-		l1dAcc:     hier.L1D(0).Stats.Accesses[0],
-		l1dMiss:    hier.L1D(0).Stats.Misses[0],
-		l2Acc:      hier.L2(0).Stats.Accesses[0],
-		l2Miss:     hier.L2(0).Stats.Misses[0],
-		llcAcc:     llc.Accesses[0],
-		llcMiss:    llc.Misses[0],
-		theftsExp:  llc.TheftsExperienced[0],
-		dataAcc:    hier.Stats.DemandDataAccesses[0],
-		dataLat:    hier.Stats.DemandDataLatency[0],
-		demFills:   hier.Stats.LLCDemandFills,
-		wbFills:    hier.Stats.LLCWritebackFills,
-		pfIssued:   hier.Stats.PrefetchIssued,
-		pfFromDRAM: hier.Stats.PrefetchFromDRAM,
-		pfUseful: llc.PrefetchUseful + hier.L1D(0).Stats.PrefetchUseful +
-			hier.L2(0).Stats.PrefetchUseful,
-		occ: llc.Occupancy[0],
-	}
-	if engine != nil {
-		s.engine = engine.Stats
-	}
-	return s
-}
-
-// extAcc accumulates cluster-weighted window deltas in float64 — the
-// extrapolated full-ROI totals.
-type extAcc struct {
-	instrs, cycles   float64
-	branches, misp   float64
-	l1dAcc, l1dMiss  float64
-	l2Acc, l2Miss    float64
-	llcAcc, llcMiss  float64
-	theftsExp        float64
-	dataAcc, dataLat float64
-	demFills         float64
-	wbFills          float64
-	pfIssued         float64
-	pfFromDRAM       float64
-	pfUseful         float64
-	engAcc, engTrig  float64
-	engBudget        float64
-	engProm, engInv  float64
-	occWeighted      float64 // cover-weighted end-of-window occupancy frac
-
-	// rawEngAcc/rawEngTrig are the unscaled measured engine events, the
-	// binomial n behind the trigger-rate noise bound.
-	rawEngAcc, rawEngTrig uint64
-}
-
-func (e *extAcc) add(a, b winSnap, scale, coverFrac float64, capBlocks uint64) {
-	e.instrs += float64(b.instrs-a.instrs) * scale
-	e.cycles += float64(b.cycles-a.cycles) * scale
-	e.branches += float64(b.core.Branches-a.core.Branches) * scale
-	e.misp += float64(b.core.Mispredicts-a.core.Mispredicts) * scale
-	e.l1dAcc += float64(b.l1dAcc-a.l1dAcc) * scale
-	e.l1dMiss += float64(b.l1dMiss-a.l1dMiss) * scale
-	e.l2Acc += float64(b.l2Acc-a.l2Acc) * scale
-	e.l2Miss += float64(b.l2Miss-a.l2Miss) * scale
-	e.llcAcc += float64(b.llcAcc-a.llcAcc) * scale
-	e.llcMiss += float64(b.llcMiss-a.llcMiss) * scale
-	e.theftsExp += float64(b.theftsExp-a.theftsExp) * scale
-	e.dataAcc += float64(b.dataAcc-a.dataAcc) * scale
-	e.dataLat += float64(b.dataLat-a.dataLat) * scale
-	e.demFills += float64(b.demFills-a.demFills) * scale
-	e.wbFills += float64(b.wbFills-a.wbFills) * scale
-	e.pfIssued += float64(b.pfIssued-a.pfIssued) * scale
-	e.pfFromDRAM += float64(b.pfFromDRAM-a.pfFromDRAM) * scale
-	e.pfUseful += float64(b.pfUseful-a.pfUseful) * scale
-	e.engAcc += float64(b.engine.Accesses-a.engine.Accesses) * scale
-	e.engTrig += float64(b.engine.Triggers-a.engine.Triggers) * scale
-	e.engBudget += float64(b.engine.EvictBudget-a.engine.EvictBudget) * scale
-	e.engProm += float64(b.engine.Promotions-a.engine.Promotions) * scale
-	e.engInv += float64(b.engine.Invalidations-a.engine.Invalidations) * scale
-	e.rawEngAcc += b.engine.Accesses - a.engine.Accesses
-	e.rawEngTrig += b.engine.Triggers - a.engine.Triggers
-	if capBlocks > 0 {
-		e.occWeighted += coverFrac * float64(b.occ) / float64(capBlocks)
-	}
-}
-
-func round(f float64) uint64 {
-	if f <= 0 {
-		return 0
-	}
-	return uint64(f + 0.5)
-}
-
 // runSampled executes cfg in phase-sampled mode: it fast-forwards the
 // instruction stream between the plan's representative windows,
 // simulates each window in detail after a short cache/predictor warmup,
-// and extrapolates full-ROI metrics as the cluster-weighted sum of the
-// window deltas. The machine is set up exactly as RunContext's
-// single-core path (same seeds, same component wiring), so a plan whose
-// one window spans the whole ROI reproduces the full run byte for byte
-// — the equivalence TestSampledFullWindowMatchesRun enforces.
+// and extrapolates full-ROI metrics from the cluster-weighted sum of the
+// window deltas. It builds its machine and primary core with the same
+// newMachine and primaryCore as RunContext, and drives them through the
+// same simLoop, so a plan whose one window spans the whole ROI reproduces
+// the full run byte for byte — the equivalence
+// TestSampledFullWindowMatchesRun enforces.
 //
 // The config's own WarmupInstrs region is not simulated: each window
 // carries its own detailed warmup (plan.WarmupInstrs), which is what
@@ -185,105 +67,28 @@ func round(f float64) uint64 {
 func runSampled(ctx context.Context, cfg Config) (*Result, error) {
 	start := time.Now()
 	plan := cfg.Sample
+	m, err := newMachine(cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer m.release()
+	core0, err := m.primaryCore()
+	if err != nil {
+		return nil, err
+	}
+	loop := newSimLoop(ctx, core0, m.tick)
 
-	spec, err := specFor(cfg.Workload, cfg.WorkloadSpec)
-	if err != nil {
-		return nil, err
-	}
-	dcfg := dram.Default()
-	if cfg.DRAM != nil {
-		dcfg = *cfg.DRAM
-	}
-	mem, err := dram.New(dcfg)
-	if err != nil {
-		return nil, err
-	}
-	hcfg := cfg.Hier
-	hcfg.Cores = 1
-	hcfg.Seed = cfg.Seed
-	hier, err := cache.NewHierarchy(hcfg, mem)
-	if err != nil {
-		return nil, err
-	}
-	defer hier.Release()
-	streams := cfg.Streams
-	if streams == nil {
-		streams = trace.Generate{}
-	}
-	cpuCfg := cfg.CPU
-	if cpuCfg.MLP == 0 {
-		cpuCfg.MLP = spec.MLP
-	}
-	gen0, err := streams.Source(spec, cfg.Seed+1, 0)
-	if err == nil {
-		err = fault.Err(fault.SiteSimSource)
-	}
-	if err != nil {
-		return nil, err
-	}
-	var src trace.Reader = gen0
-	if fault.Enabled() {
-		src = &faultSource{src: gen0}
-	}
-	bp0, err := branch.New(cfg.Branch)
-	if err != nil {
-		return nil, err
-	}
-	defer release(bp0)
-	core0 := cpu.NewCore(0, cpuCfg, src, hier, bp0)
-	defer core0.Release()
-	sys := cpu.NewSystem(core0)
-	sys.RestartFinished = true
-
-	var engine *pinte.Engine
-	if cfg.Mode == PInTE {
-		eseed := cfg.EngineSeed
-		if eseed == 0 {
-			eseed = cfg.Seed + 7
-		}
-		engine, err = pinte.NewEngine(pinte.Params{PInduce: cfg.PInduce, Seed: eseed})
-		if err != nil {
-			return nil, err
-		}
-		hier.LLC().SetInjector(engine)
-		hier.LLC().SetWritebackSink(func(addr uint64) {
-			mem.Access(core0.Cycles, addr, true)
-		})
-	}
-
-	var stopErr error
-	interrupted := func() bool {
-		select {
-		case <-ctx.Done():
-			stopErr = ctxError(ctx)
-			return true
-		default:
-			return false
-		}
-	}
-
-	// skipped tracks records fast-forwarded past without simulation;
-	// core0.Instrs + skipped is the absolute stream position. Windows
-	// are ROI-relative, and the profiled ROI began after the config's
+	// loop.skipped counts records fast-forwarded past without simulation,
+	// so loop.pos() is the absolute stream position. Windows are
+	// ROI-relative, and the profiled ROI began after the config's
 	// warmup, so window w starts at stream position WarmupInstrs+w.Start.
-	var skipped uint64
-	pos := func() uint64 { return core0.Instrs + skipped }
-	runTo := func(target uint64) error {
-		if pos() >= target {
-			return nil
-		}
-		if err := sys.Run(func(*cpu.Core) bool {
-			return interrupted() || core0.Instrs+skipped >= target
-		}); err != nil {
-			return err
-		}
-		return stopErr
-	}
-
-	var ext extAcc
-	capBlocks := hier.LLC().CapacityBlocks()
+	var t totals
+	var occ float64 // cover-weighted end-of-window occupancy share
+	// rawAcc and rawTrig are the unscaled measured engine events, the
+	// binomial n behind the trigger-rate noise bound.
+	var rawAcc, rawTrig, simInstrs uint64
+	capBlocks := m.hier.LLC().CapacityBlocks()
 	totalCover := plan.TotalCover()
-	var simInstrs uint64
 	for _, w := range plan.Windows {
 		width := w.End - w.Start
 		if width == 0 || w.CoverInstrs == 0 {
@@ -296,10 +101,10 @@ func runSampled(ctx context.Context, cfg Config) (*Result, error) {
 		} else {
 			warmStart = 0
 		}
-		if warmStart > pos() {
-			n := warmStart - pos()
+		if warmStart > loop.pos() {
+			n := warmStart - loop.pos()
 			got := core0.SkipInstrs(n)
-			skipped += got
+			loop.skipped += got
 			if got < n {
 				if err := core0.Err(); err != nil {
 					return nil, err
@@ -308,64 +113,37 @@ func runSampled(ctx context.Context, cfg Config) (*Result, error) {
 			}
 		}
 		preWarm := core0.Instrs
-		if err := runTo(absStart); err != nil {
+		if err := loop.runTo(absStart); err != nil {
 			return nil, err
 		}
-		a := snapWindow(core0, hier, engine)
-		if err := runTo(pos() + width); err != nil {
+		a := m.snap()
+		if err := loop.runTo(loop.pos() + width); err != nil {
 			return nil, err
 		}
-		b := snapWindow(core0, hier, engine)
+		b := m.snap()
 		simInstrs += core0.Instrs - preWarm
-		scale := float64(w.CoverInstrs) / float64(b.instrs-a.instrs)
-		coverFrac := float64(w.CoverInstrs) / float64(totalCover)
-		ext.add(a, b, scale, coverFrac, capBlocks)
+		t.add(&a, &b, float64(w.CoverInstrs)/float64(b.instrs-a.instrs))
+		rawAcc += b.engine.Accesses - a.engine.Accesses
+		rawTrig += b.engine.Triggers - a.engine.Triggers
+		if capBlocks > 0 {
+			coverFrac := float64(w.CoverInstrs) / float64(totalCover)
+			occ += coverFrac * float64(b.occ) / float64(capBlocks)
+		}
 	}
-	if ext.instrs == 0 {
+	if t.instrs == 0 {
 		return nil, fmt.Errorf("%w: sampling plan has no usable windows", ErrBadConfig)
 	}
 
 	res := &Result{Config: resultConfig(cfg)}
-	res.Instrs = round(ext.instrs)
-	res.Cycles = round(ext.cycles)
-	if ext.cycles > 0 {
-		res.IPC = ext.instrs / ext.cycles
-	}
-	if ext.llcAcc > 0 {
-		res.MissRate = ext.llcMiss / ext.llcAcc
-		res.ContentionRate = ext.theftsExp / ext.llcAcc
-	}
-	if ext.dataAcc > 0 {
-		res.AMAT = ext.dataLat / ext.dataAcc
-	}
-	res.BranchAccuracy = 1
-	if ext.branches > 0 {
-		res.BranchAccuracy = 1 - ext.misp/ext.branches
-	}
-	if ki := ext.instrs / 1000; ki > 0 {
-		res.L2MPKI = ext.l2Miss / ki
-		res.LLCMPKI = ext.llcMiss / ki
-	}
-	if fills := ext.demFills + ext.wbFills; fills > 0 {
-		res.LLCWritebackFillShare = ext.wbFills / fills
-	}
-	if ext.l1dAcc > 0 {
-		res.L1DMissRate = ext.l1dMiss / ext.l1dAcc
-	}
-	if ext.l2Acc > 0 {
-		res.L2MissRate = ext.l2Miss / ext.l2Acc
-	}
-	res.OccupancyFrac = ext.occWeighted
-	res.PrefetchIssued = round(ext.pfIssued)
-	res.PrefetchFromDRAM = round(ext.pfFromDRAM)
-	res.PrefetchUseful = round(ext.pfUseful)
-	if engine != nil {
+	t.derive(res)
+	res.OccupancyFrac = occ
+	if m.engine != nil {
 		res.Engine = &pinte.Stats{
-			Accesses:      round(ext.engAcc),
-			Triggers:      round(ext.engTrig),
-			EvictBudget:   round(ext.engBudget),
-			Promotions:    round(ext.engProm),
-			Invalidations: round(ext.engInv),
+			Accesses:      round(t.engAcc),
+			Triggers:      round(t.engTrig),
+			EvictBudget:   round(t.engBudget),
+			Promotions:    round(t.engProm),
+			Invalidations: round(t.engInv),
 		}
 	}
 
@@ -374,19 +152,19 @@ func runSampled(ctx context.Context, cfg Config) (*Result, error) {
 		Windows:         len(plan.Windows),
 		Intervals:       plan.Intervals,
 		InstrsSimulated: simInstrs,
-		InstrsSkipped:   skipped,
+		InstrsSkipped:   loop.skipped,
 		Bounds:          plan.Bounds,
 	}
 	st.TriggerRateBound = plan.Bounds.TriggerRateAbs
-	if ext.rawEngAcc > 0 {
-		p := float64(ext.rawEngTrig) / float64(ext.rawEngAcc)
-		st.TriggerRateBound += 4.5 * math.Sqrt(p*(1-p)/float64(ext.rawEngAcc))
+	if rawAcc > 0 {
+		p := float64(rawTrig) / float64(rawAcc)
+		st.TriggerRateBound += 4.5 * math.Sqrt(p*(1-p)/float64(rawAcc))
 	}
 	res.Sampled = st
 
 	telemetry.Phase.SampledRuns.Add(1)
 	telemetry.Phase.InstrsSimulated.Add(int64(simInstrs))
-	telemetry.Phase.InstrsSkipped.Add(int64(skipped))
+	telemetry.Phase.InstrsSkipped.Add(int64(loop.skipped))
 	if plan.Every > 0 {
 		covered := int64(len(plan.Windows))
 		telemetry.Phase.IntervalsSimulated.Add(covered)

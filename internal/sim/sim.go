@@ -13,13 +13,10 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/branch"
 	"repro/internal/cache"
 	pinte "repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/dram"
-	"repro/internal/fault"
-	"repro/internal/partition"
 	"repro/internal/phase"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -393,131 +390,18 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	start := time.Now()
 
-	spec, err := specFor(cfg.Workload, cfg.WorkloadSpec)
+	m, err := newMachine(cfg)
 	if err != nil {
 		return nil, err
 	}
-
-	dcfg := dram.Default()
-	if cfg.DRAM != nil {
-		dcfg = *cfg.DRAM
-	}
-	mem, err := dram.New(dcfg)
+	defer m.release()
+	core0, err := m.primaryCore()
 	if err != nil {
 		return nil, err
 	}
-	var hierMem cache.Memory = mem
-	var dramInj *pinte.DRAMContention
-	if cfg.DRAMContentionProb > 0 {
-		dramInj, err = pinte.NewDRAMContention(pinte.DRAMContentionParams{
-			Probability:   cfg.DRAMContentionProb,
-			PenaltyCycles: cfg.DRAMContentionPenalty,
-			Seed:          cfg.Seed + 11,
-		}, mem)
-		if err != nil {
-			return nil, err
-		}
-		hierMem = dramInj
-	}
-
-	cores := 1
+	loop := newSimLoop(ctx, core0, m.tick)
 	if cfg.Mode == SecondTrace {
-		cores = 2 + len(cfg.Adversaries)
-	}
-	hcfg := cfg.Hier
-	hcfg.Cores = cores
-	hcfg.Seed = cfg.Seed
-	hier, err := cache.NewHierarchy(hcfg, hierMem)
-	if err != nil {
-		return nil, err
-	}
-	// The run owns its machine: it recycles the arrays when it returns,
-	// however it returns — even long after a watchdog abandoned it.
-	defer hier.Release()
-	var ctrl partition.Controller
-	if cfg.Partitioning != "" {
-		ctrl, err = partition.New(cfg.Partitioning, cores)
-		if err != nil {
-			return nil, err
-		}
-		ctrl.Attach(hier.LLC())
-	}
-	if n := cfg.LLCWayAllocation; n > 0 {
-		if n > hier.LLC().Ways() {
-			return nil, fmt.Errorf("%w: LLC way allocation %d exceeds %d ways",
-				ErrBadConfig, n, hier.LLC().Ways())
-		}
-		mask := uint64(1)<<uint(n) - 1
-		for core := 0; core < cores; core++ {
-			if err := hier.LLC().SetWayPartition(core, mask); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	// streams resolves each core's instruction source: the replay cache
-	// when one is attached, a fresh generator otherwise.
-	streams := cfg.Streams
-	if streams == nil {
-		streams = trace.Generate{}
-	}
-
-	cpuCfg := cfg.CPU
-	if cpuCfg.MLP == 0 {
-		cpuCfg.MLP = spec.MLP
-	}
-	gen0, err := streams.Source(spec, cfg.Seed+1, 0)
-	if err == nil {
-		err = fault.Err(fault.SiteSimSource)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if fault.Enabled() {
-		// Chaos mode interposes on the primary stream so trace.read
-		// faults surface through the core's error path mid-run. Never
-		// wrapped in production: Enabled() is false there, keeping the
-		// hot call edge devirtualised.
-		gen0 = &faultSource{src: gen0}
-	}
-	bp0, err := branch.New(cfg.Branch)
-	if err != nil {
-		return nil, err
-	}
-	defer release(bp0)
-	core0 := cpu.NewCore(0, cpuCfg, gen0, hier, bp0)
-	defer core0.Release()
-	sys := cpu.NewSystem(core0)
-	sys.RestartFinished = true
-
-	var engine *pinte.Engine
-	var ticker *pinte.Ticker
-	switch cfg.Mode {
-	case PInTE:
-		eseed := cfg.EngineSeed
-		if eseed == 0 {
-			eseed = cfg.Seed + 7
-		}
-		engine, err = pinte.NewEngine(pinte.Params{PInduce: cfg.PInduce, Seed: eseed})
-		if err != nil {
-			return nil, err
-		}
-		if cfg.IndependentPeriod > 0 {
-			// Extension: the flow runs on a schedule instead of on
-			// LLC accesses.
-			ticker, err = pinte.NewTicker(engine, hier.LLC())
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			hier.LLC().SetInjector(engine)
-		}
-		hier.LLC().SetWritebackSink(func(addr uint64) {
-			mem.Access(core0.Cycles, addr, true)
-		})
-	case SecondTrace:
-		names := append([]string{cfg.Adversary}, cfg.Adversaries...)
-		for i, name := range names {
+		for i, name := range append([]string{cfg.Adversary}, cfg.Adversaries...) {
 			var override *trace.Spec
 			if i == 0 {
 				override = cfg.AdversarySpec
@@ -540,276 +424,49 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			}
 			advCPU := cfg.CPU
 			advCPU.MLP = aspec.MLP
-			bp, err := branch.New(cfg.Branch)
+			adv, err := m.addCore(1+i, advCPU, gen)
 			if err != nil {
 				return nil, err
 			}
-			defer release(bp)
-			adv := cpu.NewCore(1+i, advCPU, gen, hier, bp)
-			defer adv.Release()
-			sys.Cores = append(sys.Cores, adv)
+			loop.sys.Cores = append(loop.sys.Cores, adv)
 		}
 	}
 
-	// tick advances the access-independent injection schedule, when
-	// enabled, to the primary core's current instruction count, and
-	// runs partitioning epochs.
-	nextTick := cfg.IndependentPeriod
-	reallocEvery := cfg.ReallocEvery
-	if reallocEvery == 0 {
-		reallocEvery = 50_000
+	if err := loop.runTo(cfg.WarmupInstrs); err != nil {
+		return nil, err
 	}
-	nextRealloc := reallocEvery
-	tick := func() {
-		if ticker != nil {
-			for core0.Instrs >= nextTick {
-				ticker.Tick()
-				nextTick += cfg.IndependentPeriod
-			}
-		}
-		if ctrl != nil {
-			for core0.Instrs >= nextRealloc {
-				for i, mask := range ctrl.Reallocate(hier.LLC()) {
-					if err := hier.LLC().SetWayPartition(i, mask); err != nil {
-						panic(err) // masks are constructed in-range
-					}
-				}
-				nextRealloc += reallocEvery
-			}
-		}
-	}
-
-	// interrupted is polled between scheduling quanta; it records the
-	// taxonomy error for a done context so the stop callback can halt
-	// the system loop.
-	var stopErr error
-	interrupted := func() bool {
-		select {
-		case <-ctx.Done():
-			stopErr = ctxError(ctx)
-			return true
-		default:
-			return false
-		}
-	}
-
-	// Warm-up: event counters reset; clocks keep running (they are
-	// physical time shared with the DRAM bank timestamps).
-	if cfg.WarmupInstrs > 0 {
-		err = sys.Run(func(*cpu.Core) bool {
-			tick()
-			return interrupted() || core0.Instrs >= cfg.WarmupInstrs
-		})
-		if err != nil {
-			return nil, err
-		}
-		if stopErr != nil {
-			return nil, stopErr
-		}
-		hier.ResetStats()
-		for _, c := range sys.Cores {
-			c.ResetStats()
-		}
-		mem.Stats = dram.Stats{}
-		if engine != nil {
-			engine.ResetStats()
-		}
-		if dramInj != nil {
-			dramInj.ResetStats()
-		}
-	}
-	roiStartInstrs, roiStartCycles := core0.Instrs, core0.Cycles
-	roiEnd := roiStartInstrs + cfg.ROIInstrs
+	m.resetStats()
 
 	// Region of interest with periodic sampling. The telemetry
 	// collector, when enabled, rides the same loop: its interval buffer
 	// is preallocated here so steady-state collection stays off the
 	// heap, and it only observes counters, never the machine state.
 	res := &Result{Config: resultConfig(cfg)}
-	sampler := newSampler(cfg, &core0.Instrs, &core0.Cycles, hier)
+	begin := m.snap()
+	smp := newSampler(m)
 	var col *telemetry.Collector
 	if cfg.TelemetryEvery > 0 {
 		col = telemetry.NewCollector(cfg.TelemetryEvery, cfg.ROIInstrs,
-			hier.LLC().CapacityBlocks(), telemetrySnap(core0, hier, engine))
+			m.hier.LLC().CapacityBlocks(), begin.telemetry())
 	}
-	err = sys.Run(func(*cpu.Core) bool {
-		tick()
-		sampler.maybeSample(&res.Samples)
+	loop.each = func() {
+		m.tick()
+		smp.maybeSample(&res.Samples)
 		if col != nil && core0.Instrs >= col.NextAt() {
-			col.Record(telemetrySnap(core0, hier, engine))
+			col.Record(m.snap().telemetry())
 		}
-		return interrupted() || core0.Instrs >= roiEnd
-	})
-	if err != nil {
+	}
+	if err := loop.runTo(begin.instrs + cfg.ROIInstrs); err != nil {
 		return nil, err
 	}
-	if stopErr != nil {
-		return nil, stopErr
-	}
-	sampler.maybeSample(&res.Samples)
+	smp.maybeSample(&res.Samples)
 	if col != nil {
 		// Flush the partial tail so interval sums equal the ROI totals
 		// (the P_Induce audit cross-checks them against engine stats).
-		col.Tail(telemetrySnap(core0, hier, engine))
+		col.Tail(m.snap().telemetry())
 		res.Telemetry = col.Series()
 	}
-
-	fillResult(res, core0, hier, engine, roiStartInstrs, roiStartCycles)
-	if dramInj != nil {
-		st := dramInj.Stats
-		res.DRAMInjection = &st
-	}
-	if ticker != nil {
-		res.IndependentTicks = ticker.Ticks
-	}
-	if ctrl != nil {
-		for core := 0; core < hier.Cores(); core++ {
-			res.Partition = append(res.Partition, hier.LLC().WayPartition(core))
-		}
-	}
+	m.finish(res, begin)
 	res.WallTime = time.Since(start)
 	return res, nil
-}
-
-// telemetrySnap captures the cumulative counters the telemetry
-// collector differentiates. It builds the snapshot on the caller's
-// stack — no allocation on the sampling path.
-func telemetrySnap(core *cpu.Core, hier *cache.Hierarchy, engine *pinte.Engine) telemetry.Counters {
-	c := telemetry.Counters{
-		Instrs:       core.Instrs,
-		Cycles:       core.Cycles,
-		L1DMisses:    hier.L1D(0).Stats.Misses[0],
-		L2Misses:     hier.L2(0).Stats.Misses[0],
-		LLCMisses:    hier.LLC().Stats.Misses[0],
-		LLCOccupancy: hier.LLC().Stats.Occupancy[0],
-	}
-	if engine != nil {
-		c.EngineAccesses = engine.Stats.Accesses
-		c.EngineTriggers = engine.Stats.Triggers
-		c.EngineEvictBudget = engine.Stats.EvictBudget
-		c.EnginePromotions = engine.Stats.Promotions
-		c.EngineInvalidations = engine.Stats.Invalidations
-	}
-	return c
-}
-
-func fillResult(res *Result, core0 *cpu.Core, hier *cache.Hierarchy, engine *pinte.Engine, instrs0, cycles0 uint64) {
-	fillResultParts(res, core0.Instrs-instrs0, core0.Cycles-cycles0,
-		&core0.Stats, hier, hier, engine)
-}
-
-// fillResultParts computes the ROI aggregates from their raw inputs. The
-// private-level metrics (L1/L2 miss rates and MPKI) come from front, the
-// below-L2 metrics (LLC, AMAT, fill mix) from below: the sequential path
-// passes the same hierarchy twice, while a fan-out follower pairs the
-// group's shared front hierarchy with its own private LLC + memory.
-func fillResultParts(res *Result, instrs, cycles uint64, cst *cpu.Stats, front, below *cache.Hierarchy, engine *pinte.Engine) {
-	llc := below.LLC().Stats
-	res.Instrs = instrs
-	res.Cycles = cycles
-	if res.Cycles > 0 {
-		res.IPC = float64(res.Instrs) / float64(res.Cycles)
-	}
-	res.MissRate = llc.MissRateCore(0)
-	res.AMAT = below.AMAT(0)
-	res.ContentionRate = llc.ContentionRate(0)
-	res.BranchAccuracy = cst.BranchAccuracy()
-	ki := float64(res.Instrs) / 1000
-	if ki > 0 {
-		res.L2MPKI = float64(front.L2(0).Stats.Misses[0]) / ki
-		res.LLCMPKI = float64(llc.Misses[0]) / ki
-	}
-	fills := below.Stats.LLCDemandFills + below.Stats.LLCWritebackFills
-	if fills > 0 {
-		res.LLCWritebackFillShare = float64(below.Stats.LLCWritebackFills) / float64(fills)
-	}
-	res.ReuseHist = append([]uint64(nil), llc.ReuseHistCore[0]...)
-	if n := len(res.Samples); n > 0 {
-		var s float64
-		for _, smp := range res.Samples {
-			s += smp.OccupancyFrac
-		}
-		res.OccupancyFrac = s / float64(n)
-	}
-	if engine != nil {
-		st := engine.Stats
-		res.Engine = &st
-	}
-	res.PrefetchIssued = front.Stats.PrefetchIssued
-	res.PrefetchFromDRAM = front.Stats.PrefetchFromDRAM
-	res.PrefetchUseful = below.LLC().Stats.PrefetchUseful +
-		front.L1D(0).Stats.PrefetchUseful + front.L2(0).Stats.PrefetchUseful
-	res.L1DMissRate = front.L1D(0).Stats.MissRateCore(0)
-	res.L2MissRate = front.L2(0).Stats.MissRateCore(0)
-}
-
-// sampler computes interval deltas of cumulative counters. It reads the
-// primary core's clocks through pointers so the fan-out executor, whose
-// followers keep their counts in plain locals rather than a cpu.Core,
-// can drive the identical sampling code.
-type sampler struct {
-	cfg    Config
-	instrs *uint64
-	cycles *uint64
-	hier   *cache.Hierarchy
-
-	nextAt uint64
-	prev   snapshot
-}
-
-type snapshot struct {
-	instrs, cycles     uint64
-	llcAcc, llcMiss    uint64
-	theftsExp, theftsC uint64
-	mock               uint64
-	dataAcc, dataLat   uint64
-}
-
-func newSampler(cfg Config, instrs, cycles *uint64, hier *cache.Hierarchy) *sampler {
-	s := &sampler{cfg: cfg, instrs: instrs, cycles: cycles, hier: hier}
-	s.prev = s.snap()
-	s.nextAt = *instrs + cfg.SampleEvery
-	return s
-}
-
-func (s *sampler) snap() snapshot {
-	llc := s.hier.LLC().Stats
-	return snapshot{
-		instrs:    *s.instrs,
-		cycles:    *s.cycles,
-		llcAcc:    llc.Accesses[0],
-		llcMiss:   llc.Misses[0],
-		theftsExp: llc.TheftsExperienced[0],
-		theftsC:   llc.TheftsCaused[0],
-		mock:      llc.MockThefts[0],
-		dataAcc:   s.hier.Stats.DemandDataAccesses[0],
-		dataLat:   s.hier.Stats.DemandDataLatency[0],
-	}
-}
-
-// maybeSample appends interval samples for every boundary the primary
-// core has crossed since the last call.
-func (s *sampler) maybeSample(out *[]Sample) {
-	if *s.instrs < s.nextAt {
-		return
-	}
-	cur := s.snap()
-	p := s.prev
-	smp := Sample{Instrs: cur.instrs}
-	if dc := cur.cycles - p.cycles; dc > 0 {
-		smp.IPC = float64(cur.instrs-p.instrs) / float64(dc)
-	}
-	if da := cur.llcAcc - p.llcAcc; da > 0 {
-		smp.MissRate = float64(cur.llcMiss-p.llcMiss) / float64(da)
-		smp.InterferenceRate = float64(cur.theftsExp-p.theftsExp) / float64(da)
-		smp.TheftRate = float64(cur.theftsC-p.theftsC+cur.mock-p.mock) / float64(da)
-	}
-	if dd := cur.dataAcc - p.dataAcc; dd > 0 {
-		smp.AMAT = float64(cur.dataLat-p.dataLat) / float64(dd)
-	}
-	llc := s.hier.LLC()
-	smp.OccupancyFrac = float64(llc.Stats.Occupancy[0]) / float64(llc.CapacityBlocks())
-	*out = append(*out, smp)
-	s.prev = cur
-	s.nextAt = cur.instrs + s.cfg.SampleEvery
 }

@@ -9,8 +9,9 @@
 # internal/recycle), a fuzz smoke of the ranked LRU (policy-check), the
 # chaos suite (fault matrix +
 # crash-recovery property tests, race-enabled — including the SIGKILL
-# restart-and-resume property test against a real pinted process), and
-# the race-enabled pinted service smoke (serve-check).
+# restart-and-resume property test against a real pinted process), the
+# race-enabled pinted service smoke (serve-check), and the paper
+# report's run-to-run determinism (determinism-check).
 
 GO ?= go
 
@@ -27,9 +28,9 @@ BENCHOUT ?= BENCH_$(shell date +%F).json
 BENCHBASE ?= $(shell git ls-files 'BENCH_*.json' | grep -v "^$(BENCHOUT)$$" | sort | tail -1)
 BENCHTOL ?= 1.0
 
-.PHONY: ci fmt vet build bench-build test race policy-check replay-check sample-check chaos serve-check store-check bench bench-smoke
+.PHONY: ci fmt vet build bench-build test race policy-check replay-check sample-check chaos serve-check store-check determinism-check bench bench-smoke
 
-ci: fmt vet build bench-build test race policy-check chaos replay-check sample-check serve-check store-check bench-smoke
+ci: fmt vet build bench-build test race policy-check chaos replay-check sample-check serve-check store-check determinism-check bench-smoke
 
 fmt:
 	@unformatted=$$(gofmt -l .); \
@@ -138,6 +139,22 @@ store-check:
 	$(GO) run ./cmd/simfp -root . -check
 	$(GO) run ./cmd/pintetrace store-verify -goldens internal/sim/testdata
 	$(GO) test -bench 'BenchmarkSweepWarmRestart' -benchtime 1x -run '^$$' .
+
+# Paper-report determinism gate: `pintereport -exp all -scale tiny` runs
+# twice with the default worker count and once with -workers 1, and the
+# three outputs must be byte-identical once mask_timing.awk has masked
+# the wall-clock text (the completion lines and Table I's timing columns
+# and timing notes). The report runs every paper campaign with fan-out
+# on, so this also checks the fan-out executor end to end.
+determinism-check:
+	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) build -o "$$dir/pintereport" ./cmd/pintereport; \
+	for run in a b; do "$$dir/pintereport" -exp all -scale tiny > "$$dir/$$run.txt"; done; \
+	"$$dir/pintereport" -exp all -scale tiny -workers 1 > "$$dir/w1.txt"; \
+	for run in a b w1; do awk -f cmd/pintereport/mask_timing.awk "$$dir/$$run.txt" > "$$dir/$$run.masked"; done; \
+	diff -u "$$dir/a.masked" "$$dir/b.masked"; \
+	diff -u "$$dir/a.masked" "$$dir/w1.masked"; \
+	echo "determinism-check: 3 tiny-scale reports identical after masking"
 
 # One pass over every benchmark as a compile-and-run smoke; keeps the
 # hot-path benchmarks building and non-panicking without the cost of a

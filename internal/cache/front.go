@@ -27,7 +27,7 @@ type FrontEvent struct {
 	// Addr is the accessed data or fetch address.
 	Addr uint64
 	// Instr is the core's retiring-instruction index when the access
-	// issued, as an offset from the batch base (see StartBatch).
+	// issued, as an offset from the capture's base (see StartBatch).
 	// Instrs increments after retirement, so base + Instr is the
 	// zero-based index of the triggering trace record.
 	Instr uint32
@@ -40,11 +40,16 @@ type FrontEvent struct {
 	// LLC, in order, drawn from the capture's writeback address queue
 	// (WritebackToLLC per address, after the descend).
 	WBs uint8
+	// Load1 marks a Load event issued by the record's second load
+	// operand. The capture leaves it false; the executor that owns the
+	// digest, which sees the records, sets it.
+	Load1 bool
 }
 
 // FrontCapture accumulates the events and writeback addresses of a
-// capture pass. The executor swaps the backing slices out per batch and
-// re-arms them itself (fanFront.rearm in internal/sim).
+// capture pass. The executor points the slices at fixed-capacity
+// buffers of its own and swaps them out itself (fanFront.acquire in
+// internal/sim); appends never outgrow them there.
 type FrontCapture struct {
 	Events  []FrontEvent
 	WBAddrs []uint64
@@ -56,7 +61,8 @@ type FrontCapture struct {
 
 // StartBatch makes the driving core's current instruction index the
 // base that later events' Instr offsets count from. The executor calls
-// it before each batch; a batch must span fewer than 2^32 instructions.
+// it as it starts each digest slab; a slab must span fewer than 2^32
+// instructions.
 func (c *FrontCapture) StartBatch() { c.base = *c.instrs }
 
 func (c *FrontCapture) openEvent(addr uint64, kind AccessKind) {

@@ -18,8 +18,13 @@ var ErrDetached = errors.New("replay: fan reader detached")
 // decoded exactly once per batch, and every attached FanReader observes
 // the identical decoded records through a read-only view. Readers
 // advance together — a batch is decoded only when every attached
-// reader has consumed the previous one — so the Fan doubles as the
-// per-batch barrier of a fan-out sweep group.
+// reader has consumed the previous one — so the Fan doubles as a
+// per-batch barrier.
+//
+// No executor uses it: the fan-out digest executor (internal/sim) once
+// did, but its followers no longer read records, and its front reads
+// the stream alone. Deleting Fan waits for the bench/ catch-up (ROADMAP
+// item 5), because bench/tracing_test.go still calls NewFan.
 //
 // The decode buffer is owned by the Fan. A published batch stays valid
 // until every attached reader has asked for the next one, which is what

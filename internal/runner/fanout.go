@@ -18,11 +18,11 @@ import (
 // retry/backoff ladder at the next rung instead of retrying immediately;
 // the fan-out stage itself never consumes per-run retry budget.
 //
-// With no shared pool, groups run one at a time: the fan barrier keeps
-// a group's digest points within one decoded batch of each other, so
-// each extra digest point costs one simulator's below-L2 state rather
-// than a full worker, and running groups serially keeps the campaign's
-// peak footprint at one group regardless of Options.Workers. On a
+// With no shared pool, groups run one at a time: a group's two digest
+// slabs keep its digest points within one slab of the front, so each
+// extra digest point costs one simulator's below-L2 state rather than a
+// full worker, and running groups serially keeps the campaign's peak
+// footprint at one group regardless of Options.Workers. On a
 // shared pool (the campaign service), each group is one weighted-queue
 // task — one worker slot per group — so concurrent campaigns' groups
 // interleave under fair scheduling and a draining pool sheds

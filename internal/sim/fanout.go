@@ -16,9 +16,10 @@ package sim
 //     against their own private LLC + memory + engine through the
 //     production descend and writeback code, pricing instructions with
 //     the same arithmetic as cpu.Core. This shares ~85% of a run's work,
-//     not just the decode. The front decodes each batch exactly once;
-//     replay.Fan's barrier keeps every follower within one batch of it
-//     so views stay valid.
+//     not just the decode. Followers never see a trace record: the front
+//     alone reads the stream, and each slab of its digest carries an
+//     op-flags byte per record beside the events. A group's two slabs
+//     keep every follower within one slab of the front.
 //
 //   - Every other point (SecondTrace points, inclusive hierarchies,
 //     prefetchers, telemetry collection, partitioning) runs as its own
@@ -33,14 +34,13 @@ import (
 	"io"
 	"math/bits"
 	"runtime/debug"
-	"sync/atomic"
+	"sync"
 	"time"
 
 	"repro/internal/branch"
 	"repro/internal/cache"
 	"repro/internal/cpu"
 	"repro/internal/fault"
-	"repro/internal/replay"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -50,10 +50,8 @@ import (
 // sequential run, so record consumption and sample placement match.
 const fanQuantum = uint64(cpu.DefaultQuantum)
 
-// fanDigestBatch is the digest executor's shared batch in records. The
-// decode buffer and the double-buffered digests scale with the batch,
-// so a small one keeps a group's buffers to a few hundred KiB; each
-// 64Ki-record replay chunk is still decoded once, in slices.
+// fanDigestBatch is the most records a digest slab holds (see
+// fanSlab).
 const fanDigestBatch = 4096
 
 // errFanAborted reports a follower whose shared front ended before it.
@@ -164,15 +162,14 @@ func RunFanGroup(ctx context.Context, cfgs []Config, grace time.Duration) []FanP
 	}
 
 	ch := make(chan fanDone, len(cfgs))
-	abort := func(error) {} // per-run points watch ctx themselves
+	var fr *fanFront // per-run points watch ctx themselves
 	if len(digest) > 0 {
-		fan, err := startFanDigest(norm, digest, ch)
-		if err != nil {
+		var err error
+		if fr, err = startFanDigest(norm, digest, ch); err != nil {
 			for _, i := range digest {
 				ch <- fanDone{i: i, err: err}
 			}
 		} else {
-			abort = fan.Abort
 			telemetry.Fanout.PointsFanned.Add(int64(len(digest)))
 			telemetry.Fanout.DecodePasses.Add(1)
 			telemetry.Fanout.DecodePassesSaved.Add(int64(len(digest) - 1))
@@ -184,7 +181,7 @@ func RunFanGroup(ctx context.Context, cfgs []Config, grace time.Duration) []FanP
 			ch <- fanDone{i: i, res: res, err: err}
 		}(i)
 	}
-	collectFan(ctx, abort, ch, grace, pts)
+	collectFan(ctx, fr, ch, grace, pts)
 	return pts
 }
 
@@ -202,10 +199,11 @@ type fanDone struct {
 	err error
 }
 
-// collectFan gathers point outcomes. When ctx ends it calls abort so
-// barrier-parked followers unwind with the context's taxonomy error,
-// then abandons any point still silent after grace.
-func collectFan(ctx context.Context, abort func(error), ch <-chan fanDone, grace time.Duration, pts []FanPoint) {
+// collectFan gathers point outcomes. When ctx ends it aborts the digest
+// front fr (nil when the group has none), so the front and followers
+// waiting on a slab unwind with the context's taxonomy error, then
+// abandons any point still silent after grace.
+func collectFan(ctx context.Context, fr *fanFront, ch <-chan fanDone, grace time.Duration, pts []FanPoint) {
 	finished := make([]bool, len(pts))
 	got := 0
 	recv := func(d fanDone) {
@@ -225,7 +223,9 @@ func collectFan(ctx context.Context, abort func(error), ch <-chan fanDone, grace
 	if got == len(pts) {
 		return
 	}
-	abort(ctxError(ctx))
+	if fr != nil {
+		fr.abort(ctxError(ctx))
+	}
 	var deadline <-chan time.Time
 	if grace > 0 {
 		t := time.NewTimer(grace)
@@ -239,13 +239,17 @@ func collectFan(ctx context.Context, abort func(error), ch <-chan fanDone, grace
 		case <-deadline:
 			// Chaos hang: the point's goroutine never reports. Abandon it
 			// exactly as the sequential stall watchdog abandons a wedged
-			// run; a leaked follower's reader view stays valid (the fan
-			// switches decode buffers once its reader is detached).
+			// run, releasing the slabs a wedged follower holds or was
+			// sent. The front was aborted above and refills no slab, so a
+			// follower that wakes later reads stale, never torn, data.
 			for i := range pts {
 				if !finished[i] {
 					pts[i] = FanPoint{Err: ErrStalled}
 					finished[i] = true
 					got++
+					if fr != nil {
+						fr.abandon(i)
+					}
 				}
 			}
 		}
@@ -270,25 +274,89 @@ func runFanSolo(ctx context.Context, cfg Config) (res *Result, err error) {
 // Digest executor
 // ---------------------------------------------------------------------
 
-// fanDigest is one decoded batch's front-end digest: the below-L2
-// accesses (with their L2 writeback victims) and the mispredicted
-// branches, both keyed by absolute instruction index. Double-buffered by
-// the front; the barrier guarantees a buffer is idle before reuse.
-type fanDigest struct {
+// fanSlab is one sealed run of the front's digest: an op-flags byte per
+// retired record, the below-L2 events those records caused (each
+// event's Instr counts from the slab's first record) and the L2
+// writeback victims the events carry. A group builds two slabs with the
+// fixed capacities below; the front fills one while followers price the
+// other, and refills a slab only once every follower it was sent to has
+// released it, so appends never outgrow a slab and it is never copied.
+type fanSlab struct {
+	ops    []uint8
 	events []cache.FrontEvent
 	wbs    []uint64
-	misp   []uint64
-	err    error
+	refs   int // followers yet to release the slab; guarded by fanFront.mu
 }
 
-// mispTap wraps the front's branch predictor and records the instruction
-// index of every mispredict, so followers replay outcomes without
-// running a predictor of their own.
+// Digest slab capacities. A slab seals before a core batch could
+// overflow it, and an empty slab must hold one 256-record core batch at
+// its worst: a fetch event plus three data events per record (1024
+// events), each filling the L2 at most twice, once for its own block and
+// once for a dirty L1D victim (2048 writebacks). The densest presets
+// average 0.49 events and 0.12 writebacks per record, so their slabs
+// seal at about 2.2k records; sparse presets' slabs reach
+// fanDigestBatch.
+const (
+	slabEvents = 1280
+	slabWBs    = 2048
+)
+
+// Op flags: a slab's per-record byte, everything a follower needs of
+// the record itself.
+const (
+	opBranch uint8 = 1 << iota
+	opMispredict
+	opLoad0
+	opLoad1
+	opDependent
+	opStore
+)
+
+func opFlags(r *trace.Record) uint8 {
+	var f uint8
+	if r.IsBranch {
+		f |= opBranch
+	}
+	if r.Load0 != 0 {
+		f |= opLoad0
+		if r.Dependent {
+			f |= opDependent
+		}
+	}
+	if r.Load1 != 0 {
+		f |= opLoad1
+	}
+	if r.Store != 0 {
+		f |= opStore
+	}
+	return f
+}
+
+// digestBound is the most events and writebacks the records of b can
+// add to a slab (see slabEvents).
+func digestBound(b []trace.Record) (events, wbs int) {
+	for i := range b {
+		events++
+		if b[i].Load0 != 0 {
+			events++
+		}
+		if b[i].Load1 != 0 {
+			events++
+		}
+		if b[i].Store != 0 {
+			events++
+		}
+	}
+	return events, 2 * events
+}
+
+// mispTap wraps the front's branch predictor and flags every mispredict
+// on its record in the slab being filled, so followers replay outcomes
+// without running a predictor of their own.
 type mispTap struct {
-	inner  branch.Predictor
-	instrs *uint64
-	misp   *[]uint64
-	pred   bool
+	inner branch.Predictor
+	fr    *fanFront
+	pred  bool
 }
 
 func (t *mispTap) Name() string { return t.inner.Name() }
@@ -301,82 +369,280 @@ func (t *mispTap) Predict(pc uint64) bool {
 func (t *mispTap) Update(pc uint64, taken bool) {
 	t.inner.Update(pc, taken)
 	if t.pred != taken {
-		*t.misp = append(*t.misp, *t.instrs)
+		fr := t.fr
+		fr.slab.ops[*fr.instrs-fr.base] |= opMispredict
 	}
 }
 
-// fanFront is the digest executor's shared front end.
+// fanSeat is one follower's side of the slab hand-off, guarded by
+// fanFront.mu.
+type fanSeat struct {
+	inbox chan *fanSlab // capacity 2: a seat never has more than both slabs
+	held  *fanSlab      // the slab the follower is pricing
+	gone  bool          // exited or abandoned: sent nothing more
+}
+
+// fanFront is the digest executor's shared front end and the owner of
+// its slabs.
 type fanFront struct {
-	feed  *replay.FanReader
-	cap   *cache.FrontCapture
-	misp  []uint64
-	hier  *cache.Hierarchy // exposed to followers after the final digest
-	bufs  [2]fanDigest
-	cur   int
-	chans []chan *fanDigest
-	alive []atomic.Bool
-	begun bool
+	src    trace.Source
+	cap    *cache.FrontCapture
+	instrs *uint64          // the front core's retired-instruction count
+	hier   *cache.Hierarchy // exposed to followers after the final slab
+
+	slabs [2]fanSlab
+	free  chan *fanSlab // slabs every follower has released; holds both
+	slab  *fanSlab      // the slab being filled; nil between slabs
+	base  uint64        // instruction index of slab.ops[0]
+
+	// The core batch the front read last: its records (the core's own
+	// buffer, which nothing writes until the next NextBatch refills it),
+	// their offset in the slab and the slab's event count before them.
+	last    []trace.Record
+	lastOff uint32
+	lastEv  int
+
+	points []int // the group member each seat serves
+	mu     sync.Mutex
+	seats  []fanSeat
+	err    error // the front's outcome, set before the inboxes close
+
+	abortOnce sync.Once
+	abortErr  error         // set before abortCh closes
+	abortCh   chan struct{} // closed by abort
+	done      chan struct{} // closed when the front goroutine has finished
 }
 
-// publish seals the digest accumulated over the current batch, hands it
-// to every live follower, and re-arms accumulation in the other buffer.
-// The barrier makes the swap safe: by the time the front obtains batch
-// g+1, every follower has finished batch g, hence digest g-1's buffer is
-// idle. Sends cannot block — a follower that consumed digest g-1 has
-// drained its channel (capacity 2 absorbs the one racing send a dying
-// follower may still receive).
-func (fr *fanFront) publish(err error) {
-	if !fr.begun {
-		// First call: no batch has been consumed yet, nothing to seal.
-		fr.begun = true
-		fr.rearm()
-		return
-	}
-	d := &fr.bufs[fr.cur]
-	d.events = fr.cap.Events
-	d.wbs = fr.cap.WBAddrs
-	d.misp = fr.misp
-	d.err = err
-	for i := range fr.chans {
-		if fr.alive[i].Load() {
-			fr.chans[i] <- d
-		}
-	}
-	fr.cur ^= 1
-	fr.rearm()
-}
-
-func (fr *fanFront) rearm() {
-	d := &fr.bufs[fr.cur]
-	fr.cap.Events = d.events[:0]
-	fr.cap.WBAddrs = d.wbs[:0]
-	fr.misp = d.misp[:0]
-}
-
-// frontFeed is the front core's trace reader: it seals and publishes the
-// previous batch's digest before blocking on the barrier for the next
-// one — the order matters, since followers must hold digest g to finish
-// batch g and reach the barrier for g+1. The next batch's event
-// offsets count from the core's instruction index at that point, which
-// is the index of the batch's first record. It deliberately does not
-// implement trace.Rewinder: the primary streams are unbounded, so a
-// rewind request means the stream broke and the front must stop.
+// frontFeed is the front core's trace reader. Each NextBatch first
+// settles the previous batch, all of whose records have retired by then,
+// then refills the core's own buffer from the source and writes the new
+// records' op flags into the slab being filled, sealing that slab first
+// when it lacks room for them. It deliberately does not implement
+// trace.Rewinder: the primary streams are unbounded, so a rewind request
+// means the stream broke and the front must stop.
 type frontFeed struct {
 	fr *fanFront
 }
 
-func (f *frontFeed) NextSlice() ([]trace.Record, error) {
-	f.fr.publish(nil)
-	f.fr.cap.StartBatch()
-	return f.fr.feed.NextSlice()
+func (f *frontFeed) NextBatch(recs []trace.Record) (int, error) {
+	fr := f.fr
+	// The refill below overwrites the previous batch's records.
+	fr.resolveLoads()
+	n, err := fr.src.NextBatch(recs)
+	if n == 0 {
+		return 0, err
+	}
+	b := recs[:n]
+	ev, wb := digestBound(b)
+	if s := fr.slab; s == nil || len(s.ops)+n > cap(s.ops) ||
+		len(fr.cap.Events)+ev > cap(fr.cap.Events) || len(fr.cap.WBAddrs)+wb > cap(fr.cap.WBAddrs) {
+		if s != nil {
+			if err := fr.seal(len(s.ops)); err != nil {
+				return 0, err
+			}
+		}
+		if err := fr.acquire(); err != nil {
+			return 0, err
+		}
+	}
+	s := fr.slab
+	fr.last, fr.lastOff, fr.lastEv = b, uint32(len(s.ops)), len(fr.cap.Events)
+	for i := range b {
+		s.ops = append(s.ops, opFlags(&b[i]))
+	}
+	return n, nil
 }
 
-func (f *frontFeed) Next(rec *trace.Record) error { return f.fr.feed.Next(rec) }
+// Next is never called: a core reads a BatchReader in batches.
+func (f *frontFeed) Next(*trace.Record) error {
+	return errors.New("sim: the fan front reads whole batches")
+}
+
+// resolveLoads marks each Load event of the last core batch with the
+// operand that issued it. A record's loads issue Load0 first, so its
+// first Load event is Load0's exactly when the address matches Load0,
+// and a second one is Load1's; equal operand addresses resolve to Load0
+// first, as a follower matching on addresses would.
+func (fr *fanFront) resolveLoads() {
+	if fr.last == nil {
+		return
+	}
+	prev := ^uint32(0)
+	evs := fr.cap.Events[fr.lastEv:]
+	for i := range evs {
+		e := &evs[i]
+		if e.Kind != cache.Load {
+			continue
+		}
+		e.Load1 = e.Instr == prev || e.Addr != fr.last[e.Instr-fr.lastOff].Load0
+		prev = e.Instr
+	}
+	fr.last = nil
+}
+
+// acquire makes a released slab the one being filled, waiting for the
+// followers to release one when both are out. The collector's abort
+// wakes it.
+func (fr *fanFront) acquire() error {
+	var s *fanSlab
+	select {
+	case <-fr.abortCh:
+		return fr.abortErr
+	default:
+	}
+	select {
+	case s = <-fr.free:
+	case <-fr.abortCh:
+		return fr.abortErr
+	}
+	s.ops = s.ops[:0]
+	fr.cap.Events = s.events[:0]
+	fr.cap.WBAddrs = s.wbs[:0]
+	fr.cap.StartBatch()
+	fr.slab, fr.base = s, *fr.instrs
+	return nil
+}
+
+// seal cuts the slab being filled at its first n records, all retired,
+// and sends it to every live follower.
+func (fr *fanFront) seal(n int) error {
+	s := fr.slab
+	fr.slab = nil
+	s.ops = s.ops[:n]
+	s.events, s.wbs = fr.cap.Events, fr.cap.WBAddrs
+	fr.mu.Lock()
+	for j := range fr.seats {
+		if st := &fr.seats[j]; !st.gone {
+			// Never blocks: the seat holds at most the other slab.
+			st.inbox <- s
+			s.refs++
+		}
+	}
+	live := s.refs
+	fr.mu.Unlock()
+	if live == 0 {
+		fr.free <- s
+		return errFanAborted
+	}
+	return nil
+}
+
+// end closes every inbox after recording the front's outcome and hands
+// back a slab it was still filling.
+func (fr *fanFront) end(err error) {
+	if s := fr.slab; s != nil {
+		fr.slab = nil
+		fr.free <- s
+	}
+	fr.mu.Lock()
+	fr.err = err
+	for j := range fr.seats {
+		close(fr.seats[j].inbox)
+	}
+	fr.mu.Unlock()
+}
+
+// take releases the slab seat j priced last and returns the next one:
+// the front's error or errFanAborted once the inbox is closed and empty,
+// the abort error once the collector aborted.
+func (fr *fanFront) take(j int) (*fanSlab, error) {
+	st := &fr.seats[j]
+	fr.mu.Lock()
+	fr.dropLocked(st.held)
+	st.held = nil
+	fr.mu.Unlock()
+	select {
+	case <-fr.abortCh:
+		return nil, fr.abortErr
+	default:
+	}
+	var s *fanSlab
+	var ok bool
+	select {
+	case s, ok = <-st.inbox:
+	case <-fr.abortCh:
+		return nil, fr.abortErr
+	}
+	if !ok {
+		if fr.err != nil {
+			return nil, fr.err
+		}
+		return nil, errFanAborted
+	}
+	fr.mu.Lock()
+	defer fr.mu.Unlock()
+	if st.gone {
+		// Abandoned while receiving: leave released the rest.
+		fr.dropLocked(s)
+		return nil, ErrStalled
+	}
+	st.held = s
+	return s, nil
+}
+
+// leave takes seat j out of the hand-off and releases every slab it
+// holds or was sent. Holding mu orders it against seal's sends. A
+// follower calls it as it exits; the collector calls it for a follower
+// it abandons, which it does only after aborting the front, so a
+// released slab is never refilled under a wedged reader. Idempotent.
+func (fr *fanFront) leave(j int) {
+	fr.mu.Lock()
+	defer fr.mu.Unlock()
+	st := &fr.seats[j]
+	if st.gone {
+		return
+	}
+	st.gone = true
+	fr.dropLocked(st.held)
+	st.held = nil
+	for {
+		select {
+		case s, ok := <-st.inbox:
+			if !ok {
+				return
+			}
+			fr.dropLocked(s)
+		default:
+			return
+		}
+	}
+}
+
+// abandon is leave for the seat serving group member i, if any.
+func (fr *fanFront) abandon(i int) {
+	for j, p := range fr.points {
+		if p == i {
+			fr.leave(j)
+		}
+	}
+}
+
+// dropLocked releases one follower's hold on s, handing s back to the
+// front with the last. The send never blocks: free has room for both
+// slabs. Callers hold mu.
+func (fr *fanFront) dropLocked(s *fanSlab) {
+	if s == nil {
+		return
+	}
+	if s.refs--; s.refs == 0 {
+		fr.free <- s
+	}
+}
+
+// abort stops the group: the front's next slab request and every
+// follower's next take return err.
+func (fr *fanFront) abort(err error) {
+	fr.abortOnce.Do(func() {
+		fr.abortErr = err
+		close(fr.abortCh)
+	})
+}
 
 // run executes the capture pass: a real core against a capture-mode
 // hierarchy, mirroring RunContext's warm-up/ROI structure exactly so the
 // front consumes the same quantum-aligned record count as a sequential
-// run of any group member.
+// run of any group member. The final slab is cut at its last retired
+// instruction; records the core read past it are never sent.
 func (fr *fanFront) run(cfg Config, cpuCfg cpu.Config) error {
 	hcfg := cfg.Hier
 	hcfg.Cores = 1
@@ -392,26 +658,23 @@ func (fr *fanFront) run(cfg Config, cpuCfg cpu.Config) error {
 		return err
 	}
 	defer release(bp)
-	tap := &mispTap{inner: bp, misp: &fr.misp}
-	core := cpu.NewCore(0, cpuCfg, &frontFeed{fr: fr}, hier, tap)
-	tap.instrs = &core.Instrs
+	core := cpu.NewCore(0, cpuCfg, &frontFeed{fr: fr}, hier, &mispTap{inner: bp, fr: fr})
+	defer core.Release()
+	fr.instrs = &core.Instrs
 	if err := hier.SetFrontCapture(fr.cap, &core.Instrs); err != nil {
 		return err
 	}
 	fr.hier = hier
 	sys := cpu.NewSystem(core)
 	sys.RestartFinished = true
-	if cfg.WarmupInstrs > 0 {
-		err := sys.Run(func(*cpu.Core) bool { return core.Instrs >= cfg.WarmupInstrs })
-		if err != nil {
-			return err
-		}
-		if core.Instrs < cfg.WarmupInstrs {
-			return io.ErrUnexpectedEOF
-		}
-		hier.ResetStats()
-		core.ResetStats()
+	if err := sys.Run(func(*cpu.Core) bool { return core.Instrs >= cfg.WarmupInstrs }); err != nil {
+		return err
 	}
+	if core.Instrs < cfg.WarmupInstrs {
+		return io.ErrUnexpectedEOF
+	}
+	hier.ResetStats()
+	core.ResetStats()
 	roiEnd := core.Instrs + cfg.ROIInstrs
 	if err := sys.Run(func(*cpu.Core) bool { return core.Instrs >= roiEnd }); err != nil {
 		return err
@@ -419,7 +682,8 @@ func (fr *fanFront) run(cfg Config, cpuCfg cpu.Config) error {
 	if core.Instrs < roiEnd {
 		return io.ErrUnexpectedEOF
 	}
-	return nil
+	fr.resolveLoads()
+	return fr.seal(int(core.Instrs - fr.base))
 }
 
 // noMem backs the capture-mode hierarchy: capture stops every access at
@@ -434,9 +698,9 @@ func (noMem) Access(now, addr uint64, isWrite bool) uint64 {
 
 // startFanDigest starts the digest executor over the members idx of
 // norm: one front capture pass feeding a follower per member, each
-// reporting its outcome on out. It returns the fan so the collector can
-// abort it.
-func startFanDigest(norm []Config, idx []int, out chan<- fanDone) (*replay.Fan, error) {
+// reporting its outcome on out. It returns the front so the collector
+// can abort the group and release abandoned followers' slabs.
+func startFanDigest(norm []Config, idx []int, out chan<- fanDone) (*fanFront, error) {
 	start := time.Now()
 	cfg0 := norm[idx[0]]
 	spec, err := specFor(cfg0.Workload, cfg0.WorkloadSpec)
@@ -451,18 +715,27 @@ func startFanDigest(norm []Config, idx []int, out chan<- fanDone) (*replay.Fan, 
 	if err != nil {
 		return nil, err
 	}
-	n := len(idx)
-	// No rewind factory: frontFeed hides trace.Rewinder, and followers
-	// only call NextSlice.
-	fan := replay.NewFan(src, n+1, fanDigestBatch, nil)
 	cpuCfg := primaryCPU(cfg0, spec)
 
-	fr := &fanFront{feed: fan.Reader(0), cap: &cache.FrontCapture{}}
-	fr.chans = make([]chan *fanDigest, n)
-	fr.alive = make([]atomic.Bool, n)
-	for i := 0; i < n; i++ {
-		fr.chans[i] = make(chan *fanDigest, 2)
-		fr.alive[i].Store(true)
+	n := len(idx)
+	fr := &fanFront{
+		src:     src,
+		cap:     &cache.FrontCapture{},
+		points:  idx,
+		seats:   make([]fanSeat, n),
+		abortCh: make(chan struct{}),
+		done:    make(chan struct{}),
+	}
+	fr.free = make(chan *fanSlab, len(fr.slabs))
+	for i := range fr.slabs {
+		s := &fr.slabs[i]
+		s.ops = make([]uint8, 0, fanDigestBatch)
+		s.events = make([]cache.FrontEvent, 0, slabEvents)
+		s.wbs = make([]uint64, 0, slabWBs)
+		fr.free <- s
+	}
+	for j := range fr.seats {
+		fr.seats[j].inbox = make(chan *fanSlab, len(fr.slabs))
 	}
 
 	go func() {
@@ -471,33 +744,25 @@ func startFanDigest(norm []Config, idx []int, out chan<- fanDone) (*replay.Fan, 
 			if r := recover(); r != nil {
 				ferr = &PanicError{Value: r, Stack: debug.Stack()}
 			}
-			if ferr != nil {
-				// Unwedge followers parked at the barrier, then flush the
-				// error marker for followers parked at a digest receive.
-				fan.Abort(ferr)
-			}
-			fr.publish(ferr)
-			fr.feed.Detach()
-			for _, ch := range fr.chans {
-				close(ch)
-			}
+			fr.end(ferr)
+			close(fr.done)
 		}()
 		ferr = fr.run(cfg0, cpuCfg)
 	}()
 
 	for j, i := range idx {
 		go func(j, i int) {
-			res, err := runFanFollower(norm[i], cpuCfg, fr, fan.Reader(j+1), fr.chans[j], &fr.alive[j], start)
+			res, err := runFanFollower(norm[i], cpuCfg, fr, j, start)
 			out <- fanDone{i: i, res: res, err: err}
 		}(j, i)
 	}
-	return fan, nil
+	return fr, nil
 }
 
 // fanFollower is one point's private state in the digest executor: the
 // point-dependent machine (LLC, DRAM, engine; the hierarchy's private
 // levels are released once their hit latencies are read) plus the
-// cpu.Core timing arithmetic replayed over digests.
+// cpu.Core timing arithmetic replayed over slabs.
 type fanFollower struct {
 	m    *machine
 	hier *cache.Hierarchy // m.hier, kept at hand for the pricing loop
@@ -520,14 +785,18 @@ type fanFollower struct {
 	begin  counters // at ROI entry
 }
 
-// runFanFollower builds and drives one follower to completion.
-func runFanFollower(cfg Config, cpuCfg cpu.Config, fr *fanFront, rd *replay.FanReader, dig <-chan *fanDigest, alive *atomic.Bool, start time.Time) (res *Result, err error) {
+// fanTakeHook, when a test sets it, runs as the follower in seat j of
+// fr takes its k'th slab; an error or panic from it fails the follower
+// there.
+var fanTakeHook func(fr *fanFront, j, k int) error
+
+// runFanFollower builds and drives the follower in seat j to completion.
+func runFanFollower(cfg Config, cpuCfg cpu.Config, fr *fanFront, j int, start time.Time) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, &PanicError{Value: r, Stack: debug.Stack()}
 		}
-		alive.Store(false)
-		rd.Detach()
+		fr.leave(j)
 	}()
 	fault.Worker()
 
@@ -553,29 +822,21 @@ func runFanFollower(cfg Config, cpuCfg cpu.Config, fr *fanFront, rd *replay.FanR
 	st.l1iLat = m.hier.L1I(0).HitLatency()
 	st.l1dLat = m.hier.L1D(0).HitLatency()
 	st.l2Lat = m.hier.L2(0).HitLatency()
-	// The digest carries the front's L1/L2 outcomes; a follower only
-	// ever descends below the L2, so it keeps just its LLC.
+	// The slabs carry the front's L1/L2 outcomes; a follower only ever
+	// descends below the L2, so it keeps just its LLC.
 	m.hier.ReleasePrivate()
 
-	if cfg.WarmupInstrs == 0 {
-		st.enterROI()
-	}
-
-	for {
-		view, verr := rd.NextSlice()
-		if verr != nil {
-			return nil, verr
+	for k := 0; ; k++ {
+		s, err := fr.take(j)
+		if err == nil && fanTakeHook != nil {
+			err = fanTakeHook(fr, j, k)
 		}
-		d, ok := <-dig
-		if !ok {
-			return nil, errFanAborted
+		if err != nil {
+			return nil, err
 		}
-		if d.err != nil {
-			return nil, d.err
-		}
-		done, berr := st.runBatch(view, d)
-		if berr != nil {
-			return nil, berr
+		done, err := st.runBatch(s)
+		if err != nil {
+			return nil, err
 		}
 		if done {
 			break
@@ -584,7 +845,7 @@ func runFanFollower(cfg Config, cpuCfg cpu.Config, fr *fanFront, rd *replay.FanR
 	st.smp.maybeSample(&st.samples)
 
 	// The private-level metrics come from the group's shared front,
-	// which followers may read only now, after the final digest. The
+	// which followers may read only now, after the final slab. The
 	// follower's own private levels were never touched, so begin holds
 	// zeros for them.
 	res = &Result{Config: resultConfig(cfg), Samples: st.samples}
@@ -604,19 +865,17 @@ func (st *fanFollower) enterROI() {
 	st.inROI = true
 }
 
-// runBatch prices one decoded batch against its digest. The arithmetic
-// is cpu.Core.retire/loadStall verbatim, with the front-end outcomes
-// (which accesses left the L1, their L2 victims, which branches
-// mispredicted) read from the digest instead of recomputed. Event
-// matching is cursor-order: the front emits events in issue order
-// (ifetch, loads, store) stamped with the instruction's offset in the
-// batch, which is its index k in view.
-func (st *fanFollower) runBatch(view []trace.Record, d *fanDigest) (bool, error) {
-	ev, wbs, misp := d.events, d.wbs, d.misp
-	evPos, wbPos, mispPos := 0, 0, 0
-	for k := range view {
-		rec := &view[k]
-		i := st.instrs
+// runBatch prices one slab. The arithmetic is cpu.Core.retire/loadStall
+// verbatim, with the record read from its op flags and the front-end
+// outcomes (which accesses left the L1, their L2 victims, which branches
+// mispredicted) read from the slab instead of recomputed. Event matching
+// is cursor-order: the front emits events in issue order (ifetch, Load0,
+// Load1, store) stamped with the instruction's offset in the slab, which
+// is its index k in ops.
+func (st *fanFollower) runBatch(s *fanSlab) (bool, error) {
+	ev, wbs := s.events, s.wbs
+	evPos, wbPos := 0, 0
+	for k, op := range s.ops {
 		off := uint32(k)
 
 		// Instruction fetch: an event means the fetch left the L1I; its
@@ -644,25 +903,24 @@ func (st *fanFollower) runBatch(view []trace.Record, d *fanDigest) (bool, error)
 			st.cycles++
 		}
 
-		if rec.IsBranch {
+		if op&opBranch != 0 {
 			st.stats.Branches++
-			if mispPos < len(misp) && misp[mispPos] == i {
-				mispPos++
+			if op&opMispredict != 0 {
 				st.stats.Mispredicts++
 				st.cycles += st.penalty
 			}
 		}
 
-		if rec.Load0 != 0 {
+		if op&opLoad0 != 0 {
 			st.stats.Loads++
-			evPos, wbPos = st.load(rec.Load0, rec.Dependent, off, ev, evPos, wbs, wbPos)
+			evPos, wbPos = st.load(false, op&opDependent != 0, off, ev, evPos, wbs, wbPos)
 		}
-		if rec.Load1 != 0 {
+		if op&opLoad1 != 0 {
 			st.stats.Loads++
-			evPos, wbPos = st.load(rec.Load1, false, off, ev, evPos, wbs, wbPos)
+			evPos, wbPos = st.load(true, false, off, ev, evPos, wbs, wbPos)
 		}
 
-		if rec.Store != 0 {
+		if op&opStore != 0 {
 			st.stats.Stores++
 			lat := st.l1dLat
 			if evPos < len(ev) && ev[evPos].Instr == off && ev[evPos].Kind == cache.StoreAccess {
@@ -697,25 +955,25 @@ func (st *fanFollower) runBatch(view []trace.Record, d *fanDigest) (bool, error)
 			}
 		}
 	}
-	if evPos != len(ev) || wbPos != len(wbs) || mispPos != len(misp) {
-		return false, fmt.Errorf("sim: fan digest mismatch (events %d/%d, writebacks %d/%d, mispredicts %d/%d)",
-			evPos, len(ev), wbPos, len(wbs), mispPos, len(misp))
+	if evPos != len(ev) || wbPos != len(wbs) {
+		return false, fmt.Errorf("sim: fan digest mismatch (events %d/%d, writebacks %d/%d)",
+			evPos, len(ev), wbPos, len(wbs))
 	}
 	return false, nil
 }
 
-// load prices one demand load: cpu.Core.loadStall with the hierarchy
-// outcome read from the digest. Loads with no event settled at the L1D
-// hit latency (plain hit or repeat-hit fast path — both price and count
-// identically).
-func (st *fanFollower) load(addr uint64, dependent bool, off uint32, ev []cache.FrontEvent, evPos int, wbs []uint64, wbPos int) (int, int) {
+// load prices one demand load, by the Load1 operand when second is set:
+// cpu.Core.loadStall with the hierarchy outcome read from the slab.
+// Loads with no event settled at the L1D hit latency (plain hit or
+// repeat-hit fast path — both price and count identically).
+func (st *fanFollower) load(second, dependent bool, off uint32, ev []cache.FrontEvent, evPos int, wbs []uint64, wbPos int) (int, int) {
 	lat := st.l1dLat
-	if evPos < len(ev) && ev[evPos].Instr == off && ev[evPos].Kind == cache.Load && ev[evPos].Addr == addr {
+	if evPos < len(ev) && ev[evPos].Instr == off && ev[evPos].Kind == cache.Load && ev[evPos].Load1 == second {
 		e := &ev[evPos]
 		evPos++
 		lat = st.l1dLat + st.l2Lat
 		if e.Descend {
-			lat += st.hier.DescendLLC(0, addr, st.cycles+lat)
+			lat += st.hier.DescendLLC(0, e.Addr, st.cycles+lat)
 		}
 		for j := uint8(0); j < e.WBs; j++ {
 			st.hier.WritebackToLLC(0, wbs[wbPos])

@@ -6,4 +6,4 @@ package store
 // packages (see cmd/simfp for the set). Regenerate after any simulator
 // change with `go generate ./internal/store`; the store-check CI
 // target fails while it is stale.
-const genFingerprint = "sim-12daa47cb7c4b5e6"
+const genFingerprint = "sim-62f69b7e98fc4587"

@@ -23,7 +23,9 @@ import (
 // pool; in-flight replayers of a dropped stream keep a reference and
 // finish unharmed (their arenas are reclaimed when they complete), so
 // eviction can never corrupt a running simulation. The stream that is
-// currently growing is never evicted by its own growth.
+// currently growing is never evicted by its own growth. Release drops
+// one stream the same way when the campaign that reads it is done with
+// it.
 type Cache struct {
 	budget int64 // <= 0 means unlimited
 
@@ -49,8 +51,11 @@ type Stats struct {
 	// Hits counts Source calls served by an already-recorded stream;
 	// Misses counts calls that created (and recorded) a new one.
 	Hits, Misses int64
-	// Evictions counts whole streams dropped to respect the budget.
+	// Evictions counts whole streams dropped to respect the budget;
+	// Released counts streams dropped because their campaign had no
+	// reader left for them (Release).
 	Evictions int64
+	Released  int64
 	// CorruptChunks counts sealed flag chunks and value pages that
 	// failed checksum verification (the damaged stream is dropped from
 	// the pool); Fallbacks counts replayers that switched to live
@@ -67,8 +72,8 @@ type Stats struct {
 
 // String renders the snapshot as one log line.
 func (s Stats) String() string {
-	line := fmt.Sprintf("replay cache: %d streams, %.1f MiB, %d hits, %d misses, %d evictions",
-		s.Streams, float64(s.Bytes)/(1<<20), s.Hits, s.Misses, s.Evictions)
+	line := fmt.Sprintf("replay cache: %d streams, %.1f MiB, %d hits, %d misses, %d evictions, %d released",
+		s.Streams, float64(s.Bytes)/(1<<20), s.Hits, s.Misses, s.Evictions, s.Released)
 	if s.CorruptChunks > 0 || s.Fallbacks > 0 {
 		line += fmt.Sprintf(", %d corrupt chunks, %d regeneration fallbacks",
 			s.CorruptChunks, s.Fallbacks)
@@ -113,6 +118,23 @@ func (c *Cache) Source(spec trace.Spec, seed, base uint64) (trace.Source, error)
 	e.lastUse = c.tick
 	c.mu.Unlock()
 	return e.stream.NewReplayer(), nil
+}
+
+// Release drops the stream recorded for (spec, seed, base) from the
+// pool, if resident: the campaign orchestrator (internal/runner) calls
+// it once the campaign has no reader left for the stream. Like an eviction, it
+// leaves in-flight replayers of the stream reading to their end; the
+// next Source call for the key records the stream again, record for
+// record identical.
+func (c *Cache) Release(spec trace.Spec, seed, base uint64) {
+	key := Key{Spec: spec.Fingerprint(), Seed: seed, Base: base}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.streams[key]; ok {
+		c.bytes -= e.bytes
+		delete(c.streams, key)
+		c.stats.Released++
+	}
 }
 
 // grew is the stream growth callback: account a new chunk or page and evict

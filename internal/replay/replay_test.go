@@ -355,3 +355,97 @@ func TestReplayerSkip(t *testing.T) {
 		}
 	}
 }
+
+// TestReleaseKeepsReplayers releases a stream while two replayers are
+// part-way through it — one reading it on another goroutine, at the
+// recording frontier — and checks that both finish with the generator's
+// records, that the snapshot still accounts for every stream the cache
+// recorded, and that a Source after the release records the stream
+// again, record for record. make race runs it under -race.
+func TestReleaseKeepsReplayers(t *testing.T) {
+	const n = chunkRecs + 3*1024 // cross an arena boundary after the release
+	s := spec(t, "433.milc")
+	want := make([]trace.Record, n)
+	gen, err := trace.NewGenerator(s, 5, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := gen.NextBatch(want); err != nil {
+		t.Fatal(err)
+	}
+	// read fills got from src in 256-record batches, signalling on half
+	// once it has read part of the stream.
+	read := func(src trace.Source, got []trace.Record, half chan<- struct{}) error {
+		for at := 0; at < len(got); at += 256 {
+			if _, err := src.NextBatch(got[at:min(at+256, len(got))]); err != nil {
+				return err
+			}
+			if half != nil && at == 4096 {
+				close(half)
+			}
+		}
+		return nil
+	}
+	check := func(what string, got []trace.Record) {
+		t.Helper()
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: record %d is %+v, want %+v", what, i, got[i], want[i])
+			}
+		}
+	}
+
+	c := NewCache(0)
+	a, err := c.Source(s, 5, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := c.Source(s, 5, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotA, gotB := make([]trace.Record, n), make([]trace.Record, n)
+	half := make(chan struct{})
+	errA := make(chan error, 1)
+	go func() { errA <- read(a, gotA, half) }()
+	if err := read(b, gotB[:1024], nil); err != nil {
+		t.Fatal(err)
+	}
+	<-half
+	c.Release(s, 5, 0)
+	c.Release(s, 5, 0) // no longer resident: nothing more to drop
+	if err := read(b, gotB[1024:], nil); err != nil {
+		t.Fatalf("released stream's replayer failed: %v", err)
+	}
+	if err := <-errA; err != nil {
+		t.Fatalf("released stream's concurrent replayer failed: %v", err)
+	}
+	check("replayer in flight at the release", gotB)
+	check("concurrent replayer in flight at the release", gotA)
+
+	st := c.Snapshot()
+	if st.Released != 1 || st.Streams != 0 || st.Bytes != 0 || st.Records != 0 {
+		t.Fatalf("after one release: %s (%d bytes, %d records), want 1 released and nothing resident",
+			st, st.Bytes, st.Records)
+	}
+	if st.Misses != int64(st.Streams)+st.Evictions+st.Released {
+		t.Fatalf("snapshot loses a stream: %s", st)
+	}
+
+	again, err := c.Source(s, 5, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotC := make([]trace.Record, n)
+	if err := read(again, gotC, nil); err != nil {
+		t.Fatal(err)
+	}
+	check("stream recorded again after the release", gotC)
+	st = c.Snapshot()
+	if st.Misses != 2 || st.Streams != 1 || st.Bytes == 0 || st.Records < n {
+		t.Fatalf("after re-recording: %s (%d records), want a second miss and one resident stream", st, st.Records)
+	}
+	if st.Misses != int64(st.Streams)+st.Evictions+st.Released {
+		t.Fatalf("snapshot loses a stream: %s", st)
+	}
+}

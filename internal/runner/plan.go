@@ -8,8 +8,10 @@ import (
 // config of a campaign and why. plan is pure: it simulates nothing,
 // starts no goroutine and touches the store only through the admission
 // func it is handed, so every routing rule is unit-testable with fakes.
-// RunAll then executes the plan's stages in a fixed order — store hits,
-// profiles, fan groups, then the per-run points alongside the watchers.
+// RunAll then executes the plan: store hits at once, the watchers on
+// goroutines of their own, and every other executor through the
+// campaign's scheduler (sched.go), where each profile group's members
+// follow its profile and the per-run points follow the fan groups.
 // A resumed config is simply a store hit.
 
 // executor is the path that serves one config.
@@ -26,7 +28,8 @@ const (
 	// watcher goroutine waits on that flight instead of taking a worker.
 	execFlight
 	// execSampled shares profile group entry.group and runs on the
-	// per-run stage under that profile's plan (full ROI if it fails).
+	// per-run path under that profile's plan once the profile has ended
+	// (full ROI if it fails).
 	execSampled
 	// execFan runs in fan-out group entry.group.
 	execFan

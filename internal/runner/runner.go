@@ -21,8 +21,8 @@
 // RunAll plans before it runs: a pure planner (plan.go) assigns every
 // config one executor — store hit, another campaign's flight, sampled
 // candidate, fan-out group or the full per-run path — and the campaign
-// executes the plan's stages in a fixed order through one dispatcher,
-// recording every success through one completion path.
+// executes the plan through one scheduler (sched.go), recording every
+// success through one completion path.
 package runner
 
 import (
@@ -109,13 +109,16 @@ type Options struct {
 	// values below 2 are treated as unlimited (a 1-point "group" is
 	// just the per-run path).
 	FanMaxGroup int
-	// Sample enables phase-aware representative sampling: before the
-	// per-run stage, every distinct sample-eligible
-	// (workload, budgets, seed) projection the planner found among the
-	// configs still to run gets one telemetry-only Isolation profile, the profile is
-	// clustered into a phase.Plan (internal/phase), and each member run
-	// then simulates only the plan's representative windows, reporting
-	// extrapolated metrics with error bounds in Result.Sampled. Configs
+	// Sample enables phase-aware representative sampling: every
+	// distinct sample-eligible (workload, budgets, seed) projection the
+	// planner found among the configs still to run gets one
+	// telemetry-only Isolation profile, the profile is clustered into a
+	// phase.Plan (internal/phase), and each member run then simulates
+	// only the plan's representative windows, reporting extrapolated
+	// metrics with error bounds in Result.Sampled. A group's members
+	// run as soon as its profile ends, ahead of further profiles, and
+	// when Streams can release streams (the replay cache) each group's
+	// recorded stream is released after its last reader. Configs
 	// that are not sample-eligible, members of a failed profile, and
 	// sampled attempts that fail at run time all fall back to the
 	// full-ROI path. Mutually exclusive with Fanout (fan groups simulate
@@ -455,6 +458,9 @@ type campaign struct {
 	// plans holds each sampled candidate's plan once its profile ran; a
 	// nil slot runs the full ROI.
 	plans []*phase.Plan
+	// streams counts the unfinished readers of the profile groups'
+	// streams; nil when none is released (streams.go).
+	streams *streamRefs
 }
 
 // heartbeat pushes a live progress snapshot through Logf every Progress
@@ -479,12 +485,18 @@ func (c *campaign) heartbeat() (stop func()) {
 	}
 }
 
-// execute runs a plan's stages in order: admission-time store hits, the
-// sampling profiles, the fan-out groups, and last the per-run points
-// alongside the watchers of configs in flight elsewhere. Each stage's
-// shed tasks degrade rather than fail: an unprofiled candidate runs the
-// full ROI, a shed group's points join the per-run stage at rung 0, and
-// only a shed per-run point fails, as ErrCanceled.
+// execute runs a plan through the campaign's scheduler (sched.go).
+// Admission-time store hits are finished first and the watchers of
+// configs in flight elsewhere wait on plain goroutines. Every profile
+// is runnable at once; each pushes its group's members when it ends,
+// and workers take runnable members before they start another profile,
+// so a sampled campaign runs group by group and each group's recorded
+// stream is released once its last reader has finished (streams.go).
+// Fan-out groups run before the per-run points, one at a time on the
+// campaign's own workers. Shed tasks degrade rather than fail: an
+// unprofiled candidate runs the full ROI, a shed group's points join
+// the per-run points at rung 0, and only a shed point fails, as
+// ErrCanceled.
 func (c *campaign) execute(e []entry) {
 	var flights, perRun []int
 	hits, pending := 0, 0
@@ -495,10 +507,10 @@ func (c *campaign) execute(e []entry) {
 			c.finish(i, c.out.Results[i], 0, store.ViaHit)
 		case execFlight:
 			flights = append(flights, i)
-		case execFull, execSampled:
+		case execFull:
 			perRun = append(perRun, i)
 			pending++
-		case execFan:
+		case execSampled, execFan:
 			pending++
 		}
 	}
@@ -510,31 +522,55 @@ func (c *campaign) execute(e []entry) {
 		c.o.logf("sampling and fan-out both requested; sampling wins (fan groups run the full simulator)")
 	}
 
-	workers := c.o.opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	s := newSched(c)
+	if c.q == nil {
+		s.limit[laneFan] = 1
 	}
+	point := func(i int) func(bool) { return func(shed bool) { c.runPoint(i, shed) } }
 	pg := groups(e, execSampled)
-	c.dispatch(len(pg), workers, func(g int, shed bool) {
-		if !shed {
-			c.profile(pg[g])
-		}
-	})
+	c.trackStreams(e, pg)
+	for _, g := range pg {
+		s.push(laneProfile, func(shed bool) {
+			if !shed {
+				c.profile(g)
+			}
+			c.doneReading(g[0]) // the profile's read of the group's stream
+			for _, i := range g {
+				s.push(laneMember, point(i))
+			}
+		})
+	}
 
 	// Fan groups run one at a time without a shared pool, so the
-	// campaign's peak footprint stays at one group (fanout.go).
+	// campaign's peak footprint stays at one group (fanout.go); the
+	// per-run points, in-group fallbacks included, follow the last one.
 	fg := groups(e, execFan)
 	var fmu sync.Mutex
-	c.dispatch(len(fg), 1, func(g int, shed bool) {
-		fallback := fg[g]
-		if !shed {
-			fallback = c.runFanGroup(g, fg[g])
+	left := len(fg)
+	for g := range fg {
+		s.push(laneFan, func(shed bool) {
+			fallback := fg[g]
+			if !shed {
+				fallback = c.runFanGroup(g, fg[g])
+			}
+			fmu.Lock()
+			perRun = append(perRun, fallback...)
+			left--
+			last := left == 0
+			fmu.Unlock()
+			if last {
+				sort.Ints(perRun)
+				for _, i := range perRun {
+					s.push(lanePoint, point(i))
+				}
+			}
+		})
+	}
+	if len(fg) == 0 {
+		for _, i := range perRun {
+			s.push(lanePoint, point(i))
 		}
-		fmu.Lock()
-		perRun = append(perRun, fallback...)
-		fmu.Unlock()
-	})
-	sort.Ints(perRun)
+	}
 
 	// Watchers ride on plain goroutines: the store's single-flight wait
 	// (or the finished result, or a new leadership if the other
@@ -547,52 +583,12 @@ func (c *campaign) execute(e []entry) {
 			c.runPoint(i, false)
 		}()
 	}
-	c.dispatch(len(perRun), workers, func(k int, shed bool) { c.runPoint(perRun[k], shed) })
+	workers := c.o.opts.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	s.run(min(workers, len(pg)+pending))
 	watchers.Wait()
-}
-
-// dispatch runs task(k) for every k in [0, n) and returns when all have
-// returned. On a shared pool each is one task on the campaign's weighted
-// queue; otherwise at most limit run at once on workers of this
-// campaign. A task runs with shed set when the pool shed it or the
-// campaign's context ended before it started, and must then only
-// account for itself.
-func (c *campaign) dispatch(n, limit int, task func(k int, shed bool)) {
-	var wg sync.WaitGroup
-	wg.Add(n)
-	run := func(k int, shed bool) {
-		defer wg.Done()
-		task(k, shed || c.ctx.Err() != nil)
-	}
-	if c.q != nil {
-		for k := 0; k < n; k++ {
-			c.q.Submit(func(shed bool) { run(k, shed) })
-		}
-		wg.Wait()
-		return
-	}
-	next := make(chan int)
-	for w := 0; w < min(limit, n); w++ {
-		go func() {
-			for k := range next {
-				run(k, false)
-			}
-		}()
-	}
-	k := 0
-send:
-	for ; k < n; k++ {
-		select {
-		case next <- k:
-		case <-c.ctx.Done():
-			break send
-		}
-	}
-	close(next)
-	for ; k < n; k++ {
-		run(k, true)
-	}
-	wg.Wait()
 }
 
 // runPoint executes one config on the per-run path: the retry ladder,
@@ -667,6 +663,7 @@ func (c *campaign) finish(i int, res *sim.Result, attempts int, via store.Via) {
 	if computed && res.Sampled == nil {
 		st.Publish(c.keys[i], res)
 	}
+	c.doneReading(i)
 }
 
 // canceled is config i's failure when the campaign ends before it runs.
@@ -684,6 +681,7 @@ func (c *campaign) fail(re *RunError, ran bool) {
 	c.mu.Unlock()
 	if !re.RecordOnly {
 		c.prog.RunFailed()
+		c.doneReading(re.Index)
 	}
 }
 

@@ -8,13 +8,16 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Profile stage: before the per-run stage starts, the orchestrator runs
-// one cheap telemetry-only profile per profile group — the distinct
-// (workload, budgets, seed) projections the planner found among the
-// sample-eligible configs (planSample) — clusters each profile into a
-// phase.Plan, and stamps the plan onto every member, so a 12-point
-// P_Induce sweep pays one full-detail Isolation profile and twelve short
-// sampled runs instead of twelve full-ROI runs. Configs that are not
+// Profiles: the orchestrator runs one cheap telemetry-only profile per
+// profile group — the distinct (workload, budgets, seed) projections
+// the planner found among the sample-eligible configs (planSample) —
+// clusters each profile into a phase.Plan, and stamps the plan onto
+// every member, so a 12-point P_Induce sweep pays one full-detail
+// Isolation profile and twelve short sampled runs instead of twelve
+// full-ROI runs. A group's members are runnable once its profile has
+// ended and run ahead of further profiles (sched.go), so the campaign
+// advances group by group and each group's recorded stream can be
+// released after its last reader (streams.go). Configs that are not
 // sample-eligible (multi-core modes, partitioning, telemetry collection,
 // ...) and members of a failed or shed profile simply stay on the
 // full-ROI path; sampling never turns a runnable campaign into a failed

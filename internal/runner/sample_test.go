@@ -2,7 +2,13 @@ package runner
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/fault"
 	"repro/internal/phase"
@@ -196,5 +202,196 @@ func TestChaosSampledCorruptChunkFailover(t *testing.T) {
 		if out.Results[i] == nil || fingerprint(out.Results[i]) != fingerprint(clean.Results[i]) {
 			t.Errorf("config %d: sampled result diverged after corrupt-chunk failover", i)
 		}
+	}
+}
+
+// pipelineSweep is a sampled campaign over six presets, an isolation
+// baseline and two P_Induce points each, plus second profile groups on
+// the streams of the first two presets: the same workload and seed
+// under other budgets, last in the input.
+func pipelineSweep() []sim.Config {
+	var cfgs []sim.Config
+	for _, w := range []string{"433.milc", "470.lbm", "450.soplex", "453.povray", "403.gcc", "429.mcf"} {
+		for _, p := range []float64{0, 0.1, 0.5} {
+			c := tinyCfg(w, p)
+			if p == 0 {
+				c.Mode = sim.Isolation
+			}
+			cfgs = append(cfgs, c)
+		}
+	}
+	for _, w := range []string{"433.milc", "470.lbm"} {
+		for _, p := range []float64{0.2, 0.4} {
+			c := tinyCfg(w, p)
+			c.WarmupInstrs, c.ROIInstrs = 16_000, 60_000
+			cfgs = append(cfgs, c)
+		}
+	}
+	return cfgs
+}
+
+// TestSamplePipelineStreams checks a sampled campaign runs group by
+// group and releases each group's recorded stream after its last
+// reader: on two workers of its own and on a two-worker shared pool,
+// the replay cache never holds more than Workers+1 streams when a
+// result lands, every stream is recorded exactly once (two groups
+// share each of the first two presets' streams), and the results are
+// byte-identical to the same campaign on one worker.
+func TestSamplePipelineStreams(t *testing.T) {
+	cfgs := pipelineSweep()
+	const workers, streams = 2, 6
+	ref, err := New(Options{Workers: 1, Sample: true, Streams: replay.NewCache(0)}).
+		RunAll(context.Background(), cfgs)
+	want := campaignJSON(t, "one worker", ref, err)
+
+	for _, pooled := range []bool{false, true} {
+		name := "own-workers"
+		if pooled {
+			name = "shared-pool"
+		}
+		t.Run(name, func(t *testing.T) {
+			cache := replay.NewCache(0)
+			var mu sync.Mutex
+			peak := 0
+			opts := Options{
+				Workers: workers, Sample: true, Streams: cache,
+				OnResult: func(int, string, *sim.Result, bool) {
+					n := cache.Snapshot().Streams
+					mu.Lock()
+					peak = max(peak, n)
+					mu.Unlock()
+				},
+			}
+			if pooled {
+				p := NewPool(workers)
+				defer p.Close()
+				opts.Pool = p
+			}
+			var out *Outcome
+			d := phaseDelta(func() { out, err = New(opts).RunAll(context.Background(), cfgs) })
+			got := campaignJSON(t, name, out, err)
+			for i := range cfgs {
+				if got[i] != want[i] {
+					t.Errorf("config %d differs from the one-worker campaign:\n got %s\nwant %s", i, got[i], want[i])
+				}
+				if out.Results[i].Sampled == nil {
+					t.Errorf("config %d was not sampled", i)
+				}
+			}
+			if d["profile_runs"] != 8 {
+				t.Errorf("%d profiles ran, want 8", d["profile_runs"])
+			}
+			if peak > workers+1 {
+				t.Errorf("the cache held %d streams when a result landed, want at most %d", peak, workers+1)
+			}
+			st := cache.Snapshot()
+			if st.Misses != streams || st.Released != streams || st.Streams != 0 || st.Evictions != 0 {
+				t.Errorf("replay cache after the campaign: %s; want each of %d streams recorded once and released", st, streams)
+			}
+		})
+	}
+}
+
+// TestChaosSampledPipelineFaultCancel fails one group's profile with an
+// injected source fault and cancels the campaign part-way through the
+// pipeline, on the campaign's own workers and on a shared pool. Every
+// config must get exactly one outcome — a sampled result equal to the
+// fault-free campaign's, a full-ROI result equal to the unsampled
+// campaign's, or an ErrCanceled failure — and RunAll must return
+// without leaving a worker goroutine behind.
+func TestChaosSampledPipelineFaultCancel(t *testing.T) {
+	cfgs := pipelineSweep()
+	sampled, err := New(Options{Workers: 2, Sample: true}).RunAll(context.Background(), cfgs)
+	wantSampled := campaignJSON(t, "sampled", sampled, err)
+	full, err := New(Options{Workers: 2}).RunAll(context.Background(), cfgs)
+	wantFull := campaignJSON(t, "full", full, err)
+
+	for _, pooled := range []bool{false, true} {
+		name := "own-workers"
+		if pooled {
+			name = "shared-pool"
+		}
+		t.Run(name, func(t *testing.T) {
+			var pool *Pool
+			if pooled {
+				pool = NewPool(2)
+				defer pool.Close()
+			}
+			before := runtime.NumGoroutine()
+			if err := fault.Apply("seed=1;sim.source:every=1,limit=1"); err != nil {
+				t.Fatal(err)
+			}
+			defer fault.Disable()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var landed atomic.Int32
+			var out *Outcome
+			d := phaseDelta(func() {
+				out, err = New(Options{
+					Workers: 2, Sample: true, Streams: replay.NewCache(0), Pool: pool,
+					OnResult: func(int, string, *sim.Result, bool) {
+						if landed.Add(1) == 6 {
+							cancel()
+						}
+					},
+				}).RunAll(ctx, cfgs)
+			})
+			fired := fault.Snapshot()[fault.SiteSimSource].Fires
+			fault.Disable()
+			if err != nil {
+				t.Fatalf("campaign-level error: %v", err)
+			}
+			// The first stream any task opens is a profile's: members wait
+			// for theirs. The cancellation may fail more profiles.
+			if fired != 1 || d["profile_failures"] < 1 {
+				t.Errorf("the fault fired %d times and %d profiles failed, want one fault failing a profile",
+					fired, d["profile_failures"])
+			}
+			failures := make([]int, len(cfgs))
+			for _, f := range out.Failures {
+				failures[f.Index]++
+				if !errors.Is(f.Err, sim.ErrCanceled) {
+					t.Errorf("config %d failed with %v, want ErrCanceled", f.Index, f.Err)
+				}
+			}
+			var nSampled, nFull, nCanceled int
+			for i, res := range out.Results {
+				switch {
+				case res == nil && failures[i] == 1:
+					nCanceled++
+					continue
+				case res == nil || failures[i] != 0:
+					t.Errorf("config %d: result %v with %d failures, want exactly one outcome", i, res != nil, failures[i])
+					continue
+				}
+				r := *res
+				r.WallTime = 0
+				b, err := json.Marshal(&r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := wantFull[i]
+				if res.Sampled != nil {
+					want = wantSampled[i]
+					nSampled++
+				} else {
+					nFull++
+				}
+				if string(b) != want {
+					t.Errorf("config %d (sampled %v) differs from its fault-free result", i, res.Sampled != nil)
+				}
+			}
+			t.Logf("%d sampled, %d full-ROI fallbacks, %d canceled", nSampled, nFull, nCanceled)
+			if nCanceled == 0 {
+				t.Error("the cancellation reached no config")
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				time.Sleep(10 * time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > before {
+				t.Errorf("%d goroutines after RunAll, %d before: a worker leaked", n, before)
+			}
+		})
 	}
 }

@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"reflect"
 	"runtime/debug"
 	"sync"
 	"time"
@@ -72,7 +73,22 @@ type FanPoint struct {
 // share one decode. The key is the normalized config with exactly the
 // consumption-neutral per-point fields cleared.
 func FanGroupKey(cfg Config) (string, error) {
-	n := cfg.Normalized()
+	return fanKey(fanKeyConfig(cfg.Normalized()))
+}
+
+// fanKey encodes a fanKeyConfig projection.
+func fanKey(proj Config) (string, error) {
+	b, err := json.Marshal(proj)
+	if err != nil {
+		return "", err
+	}
+	return string(b), nil
+}
+
+// fanKeyConfig projects a normalized config onto what FanGroupKey
+// encodes, with the run-time wiring (excluded from JSON) cleared too, so
+// two configs with deeply equal projections have equal keys.
+func fanKeyConfig(n Config) Config {
 	n.Mode = Isolation
 	n.PInduce = 0
 	n.EngineSeed = 0
@@ -86,11 +102,8 @@ func FanGroupKey(cfg Config) (string, error) {
 	n.ReallocEvery = 0
 	n.LLCWayAllocation = 0
 	n.TelemetryEvery = 0
-	b, err := json.Marshal(n)
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
+	n.Streams, n.Sample = nil, nil
+	return n
 }
 
 // fanDigestEligible reports whether a (defaulted) config can ride the
@@ -133,21 +146,33 @@ func RunFanGroup(ctx context.Context, cfgs []Config, grace time.Duration) []FanP
 		return pts
 	}
 	norm := make([]Config, len(cfgs))
+	// The group's key is encoded once. A point whose projection equals
+	// the first point's has that key; only a point whose projection
+	// differs is encoded and compared by key.
 	var key0 string
+	proj := make([]Config, 2) // the first point's projection, then the current one's
 	var digest, solo []int
 	for i, c := range cfgs {
 		n := c.withDefaults()
 		if err := n.validateDefaulted(); err != nil {
 			return failAll(pts, err)
 		}
-		k, err := FanGroupKey(c)
-		if err != nil {
-			return failAll(pts, err)
-		}
-		if i == 0 {
+		proj[min(i, 1)] = fanKeyConfig(n)
+		switch {
+		case i == 0:
+			k, err := fanKey(proj[0])
+			if err != nil {
+				return failAll(pts, err)
+			}
 			key0 = k
-		} else if k != key0 {
-			return failAll(pts, fmt.Errorf("%w: fan group mixes stream-incompatible configs", ErrBadConfig))
+		case !reflect.DeepEqual(&proj[0], &proj[1]):
+			k, err := fanKey(proj[1])
+			if err != nil {
+				return failAll(pts, err)
+			}
+			if k != key0 {
+				return failAll(pts, fmt.Errorf("%w: fan group mixes stream-incompatible configs", ErrBadConfig))
+			}
 		}
 		if fanDigestEligible(n) {
 			digest = append(digest, i)

@@ -142,7 +142,7 @@ func primarySource(cfg Config, spec trace.Spec) (trace.Source, error) {
 	if streams == nil {
 		streams = trace.Generate{}
 	}
-	src, err := streams.Source(spec, cfg.Seed+1, 0)
+	src, err := streams.Source(spec, primarySeed(cfg), 0)
 	if err == nil {
 		err = fault.Err(fault.SiteSimSource)
 	}
@@ -153,6 +153,17 @@ func primarySource(cfg Config, spec trace.Spec) (trace.Source, error) {
 		src = &faultSource{src: src}
 	}
 	return src, nil
+}
+
+// primarySeed is the generator seed of cfg's primary stream.
+func primarySeed(cfg Config) uint64 { return cfg.Seed + 1 }
+
+// PrimaryStream names the record stream cfg's primary core reads: the
+// spec, seed and base its run passes to cfg.Streams (or the generator).
+// Runs with equal PrimaryStream values read byte-identical streams.
+func PrimaryStream(cfg Config) (spec trace.Spec, seed, base uint64, err error) {
+	spec, err = specFor(cfg.Workload, cfg.WorkloadSpec)
+	return spec, primarySeed(cfg), 0, err
 }
 
 // primaryCPU is the primary core's timing: cfg.CPU, with the workload

@@ -101,15 +101,21 @@ serve-check:
 # byte-identical to generated runs and to the committed goldens, and
 # fan-out groups (shared-front digest points alongside per-run points)
 # must be byte-identical to the sequential per-run path at both the
-# simulator and campaign level. Two fuzz smokes close the gate: 10 s of
-# the arena codec's round trip (FuzzStreamRoundTrip: arbitrary record
-# sequences read back through NextBatch, Next and Skip must be exact)
-# and 20 s of the campaign-path differential oracle (FuzzCampaignPaths:
-# per-run, replay, fan-out and warm-store results over generated
-# configs must be byte-identical).
+# simulator and campaign level. The arena-recycling tests run five times
+# under -race with the package's use-after-recycle oracle (every
+# reclaimed arena is scribbled, so a reclaim under a live reader reads
+# wrong records). Two fuzz smokes close the gate: 10 s of the arena
+# codec's round trip (FuzzStreamRoundTrip: arbitrary record sequences
+# read back through NextBatch, Next and Skip must be exact, also when
+# recorded over recycled arenas) and 20 s of the campaign-path
+# differential oracle (FuzzCampaignPaths: per-run, replay, fan-out and
+# warm-store results over generated configs must be byte-identical).
 replay-check:
 	$(GO) test -count=1 -run 'TestReplayEquivalence|TestReplayMatchesGoldens|TestFanout' \
 		./internal/sim ./internal/runner
+	$(GO) test -race -count=5 \
+		-run 'TestReleaseKeepsReplayers|TestConcurrentSkipAndRead|TestReclaimWaitsForReaders|TestCorruptStreamNeverRecycled' \
+		./internal/replay
 	$(GO) test -run '^$$' -fuzz FuzzStreamRoundTrip -fuzztime 10s -parallel 2 ./internal/replay
 	$(GO) test -run '^$$' -fuzz FuzzCampaignPaths -fuzztime 20s -parallel 2 ./internal/runner
 

@@ -361,7 +361,12 @@ func TestReplayerSkip(t *testing.T) {
 // recording frontier — and checks that both finish with the generator's
 // records, that the snapshot still accounts for every stream the cache
 // recorded, and that a Source after the release records the stream
-// again, record for record. make race runs it under -race.
+// again, record for record. The released stream's arenas are recycled
+// only once both replayers are released: the second recording runs
+// while one of them is paused mid-read, and a third, after both, records
+// over the recycled arenas. Under the package's scribbling oracle an
+// early reclaim shows up as wrong records. make replay-check runs it
+// under -race -count=5.
 func TestReleaseKeepsReplayers(t *testing.T) {
 	const n = chunkRecs + 3*1024 // cross an arena boundary after the release
 	s := spec(t, "433.milc")
@@ -373,15 +378,19 @@ func TestReleaseKeepsReplayers(t *testing.T) {
 	if _, err := gen.NextBatch(want); err != nil {
 		t.Fatal(err)
 	}
-	// read fills got from src in 256-record batches, signalling on half
-	// once it has read part of the stream.
-	read := func(src trace.Source, got []trace.Record, half chan<- struct{}) error {
+	// read fills got from src in 256-record batches. Once it has read
+	// part of the stream it signals on half and, when resume is non-nil,
+	// waits for it before reading on.
+	read := func(src trace.Source, got []trace.Record, half chan<- struct{}, resume <-chan struct{}) error {
 		for at := 0; at < len(got); at += 256 {
 			if _, err := src.NextBatch(got[at:min(at+256, len(got))]); err != nil {
 				return err
 			}
 			if half != nil && at == 4096 {
 				close(half)
+				if resume != nil {
+					<-resume
+				}
 			}
 		}
 		return nil
@@ -394,58 +403,87 @@ func TestReleaseKeepsReplayers(t *testing.T) {
 			}
 		}
 	}
+	snap := func(what string, c *Cache) Stats {
+		t.Helper()
+		st := c.Snapshot()
+		if st.Misses != int64(st.Streams)+st.Evictions+st.Released {
+			t.Fatalf("%s: snapshot loses a stream: %s", what, st)
+		}
+		return st
+	}
+	source := func(c *Cache) *Replayer {
+		t.Helper()
+		src, err := c.Source(s, 5, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return src.(*Replayer)
+	}
 
 	c := NewCache(0)
-	a, err := c.Source(s, 5, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := c.Source(s, 5, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := source(c), source(c)
 	gotA, gotB := make([]trace.Record, n), make([]trace.Record, n)
-	half := make(chan struct{})
+	half, resume := make(chan struct{}), make(chan struct{})
 	errA := make(chan error, 1)
-	go func() { errA <- read(a, gotA, half) }()
-	if err := read(b, gotB[:1024], nil); err != nil {
+	go func() { errA <- read(a, gotA, half, resume) }()
+	if err := read(b, gotB[:1024], nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	<-half
 	c.Release(s, 5, 0)
 	c.Release(s, 5, 0) // no longer resident: nothing more to drop
-	if err := read(b, gotB[1024:], nil); err != nil {
+	if err := read(b, gotB[1024:], nil, nil); err != nil {
 		t.Fatalf("released stream's replayer failed: %v", err)
 	}
-	if err := <-errA; err != nil {
-		t.Fatalf("released stream's concurrent replayer failed: %v", err)
-	}
 	check("replayer in flight at the release", gotB)
-	check("concurrent replayer in flight at the release", gotA)
+	b.Release()
+	b.Release() // idempotent
 
-	st := c.Snapshot()
-	if st.Released != 1 || st.Streams != 0 || st.Bytes != 0 || st.Records != 0 {
-		t.Fatalf("after one release: %s (%d bytes, %d records), want 1 released and nothing resident",
-			st, st.Bytes, st.Records)
-	}
-	if st.Misses != int64(st.Streams)+st.Evictions+st.Released {
-		t.Fatalf("snapshot loses a stream: %s", st)
+	st := snap("after one release", c)
+	if st.Released != 1 || st.Streams != 0 || st.Bytes != 0 || st.Records != 0 || st.FreeBytes != 0 {
+		t.Fatalf("after one release: %s (%d bytes, %d records, %d free), want 1 released, nothing resident and nothing free while a replayer reads",
+			st, st.Bytes, st.Records, st.FreeBytes)
 	}
 
-	again, err := c.Source(s, 5, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Record the stream again while the first recording still has a
+	// reader: its arenas must not be recycled yet.
+	again := source(c)
 	gotC := make([]trace.Record, n)
-	if err := read(again, gotC, nil); err != nil {
+	if err := read(again, gotC, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	check("stream recorded again after the release", gotC)
-	st = c.Snapshot()
-	if st.Misses != 2 || st.Streams != 1 || st.Bytes == 0 || st.Records < n {
-		t.Fatalf("after re-recording: %s (%d records), want a second miss and one resident stream", st, st.Records)
+	st = snap("after re-recording", c)
+	if st.Misses != 2 || st.Streams != 1 || st.Bytes == 0 || st.Records < n || st.Reused != 0 {
+		t.Fatalf("after re-recording: %s (%d records), want a second miss, one resident stream and no arena reused", st, st.Records)
 	}
-	if st.Misses != int64(st.Streams)+st.Evictions+st.Released {
-		t.Fatalf("snapshot loses a stream: %s", st)
+
+	close(resume)
+	if err := <-errA; err != nil {
+		t.Fatalf("released stream's concurrent replayer failed: %v", err)
+	}
+	check("concurrent replayer in flight at the release", gotA)
+	a.Release()
+	st = snap("after the last replayer's release", c)
+	if st.FreeBytes != st.Bytes {
+		t.Fatalf("after the released stream's last replayer: %d bytes free, want the stream's %d", st.FreeBytes, st.Bytes)
+	}
+
+	// Drop the second recording too, and record a third over the
+	// recycled arenas.
+	again.Release()
+	c.Release(s, 5, 0)
+	allocated := snap("after the second release", c).Allocated
+	third := source(c)
+	gotD := make([]trace.Record, n)
+	if err := read(third, gotD, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	check("stream recorded over recycled arenas", gotD)
+	third.Release()
+	st = snap("after recording over recycled arenas", c)
+	if st.Allocated != allocated || st.Reused == 0 || st.FreeBytes != st.Bytes {
+		t.Fatalf("recording over recycled arenas: %s (%d bytes allocated, %d before), want no new arena",
+			st, st.Allocated, allocated)
 	}
 }

@@ -22,7 +22,9 @@
 // same records into the arena as a side effect, so the recording run
 // pays only the pack — no staging buffer, no decode-back, and no
 // overgenerated tail. Published records are immutable; replay behind the
-// frontier is lock-free and allocation-free.
+// frontier is lock-free and allocation-free. A Cache recycles the arenas
+// of a stream it has dropped once the stream's last replayer is
+// released.
 package replay
 
 import (
@@ -283,11 +285,19 @@ type Stream struct {
 	n      atomic.Uint64
 
 	// owner, when non-nil, is the cache accounting this stream's arena
-	// bytes and integrity events. Its growth hook is called with mu
-	// held; the cache must not call back into the stream.
+	// bytes and integrity events and supplying its arenas. Its arena
+	// hooks are called with mu held; the cache must not call back into
+	// the stream.
 	owner *Cache
 
 	bytes int64 // accounted arena bytes, guarded by mu
+
+	// readers counts the replayers not yet released; dropped is set once
+	// the owner no longer pools the stream, corrupt once an arena failed
+	// verification. The owner reclaims the arenas of a dropped stream
+	// without readers unless it is corrupt. Guarded by owner.mu.
+	readers          int
+	dropped, corrupt bool
 }
 
 // newStream builds an empty recording over gen. owner may be nil. Its
@@ -312,12 +322,29 @@ func (s *Stream) Bytes() int64 {
 	return s.bytes
 }
 
-// grow accounts one new chunk or page. Called with mu held.
-func (s *Stream) grow(delta int64) {
-	s.bytes += delta
+// newChunk returns a zeroed flag chunk for the recording, reused from
+// the owner's free list when it has one. Called with mu held.
+func (s *Stream) newChunk() *chunk {
+	s.bytes += chunkBytes
 	if s.owner != nil {
-		s.owner.grew(s, delta)
+		if c := takeArena(s.owner, s, &s.owner.freeChunks, chunkBytes); c != nil {
+			*c = chunk{}
+			return c
+		}
 	}
+	return new(chunk)
+}
+
+// newPage is newChunk for a value page.
+func (s *Stream) newPage() *page {
+	s.bytes += pageBytes
+	if s.owner != nil {
+		if p := takeArena(s.owner, s, &s.owner.freePages, pageBytes); p != nil {
+			*p = page{}
+			return p
+		}
+	}
+	return new(page)
 }
 
 // tail returns the slots of the page the encoder's cursor is in, nil
@@ -339,9 +366,8 @@ func (s *Stream) put(v uint32) {
 	if pi == len(pages) {
 		// Appending past the published length is safe: readers of the
 		// old slice header never look beyond it.
-		grown := append(pages, new(page))
+		grown := append(pages, s.newPage())
 		s.pages.Store(&grown)
-		s.grow(pageBytes)
 		pages = grown
 	}
 	p := pages[pi]
@@ -384,9 +410,8 @@ func (s *Stream) pack(recs []trace.Record) {
 	for i := 0; i < len(recs); {
 		idx := int((pos + uint64(i)) >> chunkShift)
 		if idx == len(chunks) {
-			grown := append(chunks, new(chunk))
+			grown := append(chunks, s.newChunk())
 			s.chunks.Store(&grown)
-			s.grow(chunkBytes)
 			chunks = grown
 		}
 		c := chunks[idx]
@@ -485,10 +510,16 @@ func (s *Stream) verified(sl *seal, data []byte) bool {
 	return false
 }
 
-// NewReplayer returns an independent reader positioned at the stream's
-// start. Replayers are not safe for concurrent use individually, but
+// newReplayer returns an independent reader positioned at the stream's
+// start, counted among the stream's readers until its Release. For a
+// stream a cache owns, the caller holds the cache's mutex, so no drop
+// can reclaim the arenas between finding the stream and counting the
+// reader. Replayers are not safe for concurrent use individually, but
 // any number may read one stream concurrently.
-func (s *Stream) NewReplayer() *Replayer { return &Replayer{s: s, base: s.key.Base} }
+func (s *Stream) newReplayer() *Replayer {
+	s.readers++
+	return &Replayer{s: s, base: s.key.Base}
+}
 
 // Replayer reads a recorded stream through the trace.Source contract.
 // Reads below the recorded frontier decode straight out of the arenas —
@@ -750,6 +781,22 @@ func (r *Replayer) Skip(n uint64) (uint64, error) {
 		n -= step
 	}
 	return total, nil
+}
+
+// Release ends the replayer's reads; it is unusable after (a read
+// panics). When the stream's cache has dropped the stream and this was
+// its last replayer, the cache recycles the stream's arenas. A replayer
+// never released keeps its stream's arenas to itself until the garbage
+// collector takes both. Idempotent.
+func (r *Replayer) Release() {
+	s := r.s
+	if s == nil {
+		return
+	}
+	*r = Replayer{}
+	if s.owner != nil {
+		s.owner.unread(s)
+	}
 }
 
 // discard reads and drops n records from src.

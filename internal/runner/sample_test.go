@@ -15,6 +15,7 @@ import (
 	"repro/internal/replay"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 )
 
 // phaseDelta runs f and returns how much each phase-sampling counter
@@ -230,16 +231,55 @@ func pipelineSweep() []sim.Config {
 	return cfgs
 }
 
+// largestStream is the arena bytes of the largest primary stream cfgs
+// read, each recorded alone to the longest warm-up plus ROI of its
+// configs and a few core batches past it.
+func largestStream(t *testing.T, cfgs []sim.Config) int64 {
+	t.Helper()
+	type stream struct {
+		fp         string
+		seed, base uint64
+	}
+	spans := map[stream]uint64{}
+	specs := map[stream]trace.Spec{}
+	for _, c := range cfgs {
+		spec, seed, base, err := sim.PrimaryStream(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := stream{spec.Fingerprint(), seed, base}
+		specs[k] = spec
+		spans[k] = max(spans[k], c.WarmupInstrs+c.ROIInstrs+4096)
+	}
+	var largest int64
+	for k, n := range spans {
+		c := replay.NewCache(0)
+		src, err := c.Source(specs[k], k.seed, k.base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := src.NextBatch(make([]trace.Record, n)); err != nil {
+			t.Fatal(err)
+		}
+		largest = max(largest, c.Snapshot().Bytes)
+	}
+	return largest
+}
+
 // TestSamplePipelineStreams checks a sampled campaign runs group by
 // group and releases each group's recorded stream after its last
 // reader: on two workers of its own and on a two-worker shared pool,
 // the replay cache never holds more than Workers+1 streams when a
 // result lands, every stream is recorded exactly once (two groups
 // share each of the first two presets' streams), and the results are
-// byte-identical to the same campaign on one worker.
+// byte-identical to the same campaign on one worker. Released streams'
+// arenas are recycled, so the campaign allocates at most Workers+1
+// streams' worth of arenas, and every byte it allocated ends on the
+// cache's free list.
 func TestSamplePipelineStreams(t *testing.T) {
 	cfgs := pipelineSweep()
 	const workers, streams = 2, 6
+	bound := (workers + 1) * largestStream(t, cfgs)
 	ref, err := New(Options{Workers: 1, Sample: true, Streams: replay.NewCache(0)}).
 		RunAll(context.Background(), cfgs)
 	want := campaignJSON(t, "one worker", ref, err)
@@ -287,6 +327,10 @@ func TestSamplePipelineStreams(t *testing.T) {
 			st := cache.Snapshot()
 			if st.Misses != streams || st.Released != streams || st.Streams != 0 || st.Evictions != 0 {
 				t.Errorf("replay cache after the campaign: %s; want each of %d streams recorded once and released", st, streams)
+			}
+			if st.Allocated > bound || st.Reused == 0 || st.FreeBytes != st.Allocated {
+				t.Errorf("replay cache after the campaign: %s, %d arena bytes allocated, %d free; want at most %d allocated, arenas reused and all of them free",
+					st, st.Allocated, st.FreeBytes, bound)
 			}
 		})
 	}

@@ -769,6 +769,8 @@ func startFanDigest(norm []Config, idx []int, out chan<- fanDone) (*fanFront, er
 			if r := recover(); r != nil {
 				ferr = &PanicError{Value: r, Stack: debug.Stack()}
 			}
+			// The front goroutine is the stream's only reader.
+			release(src)
 			fr.end(ferr)
 			close(fr.done)
 		}()

@@ -30,3 +30,7 @@ func (f *faultSource) NextBatch(recs []trace.Record) (int, error) {
 }
 
 func (f *faultSource) Rewind() { f.src.Rewind() }
+
+// Release forwards to the wrapped source, so a chaos run still hands its
+// replay stream back.
+func (f *faultSource) Release() { release(f.src) }

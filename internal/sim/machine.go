@@ -43,9 +43,11 @@ type machine struct {
 
 	nextTick, nextRealloc, reallocEvery uint64
 
-	// cores and preds are recycled by release.
+	// cores and preds are recycled by release, and src, the primary
+	// core's stream, is released.
 	cores []*cpu.Core
 	preds []branch.Predictor
+	src   trace.Source
 }
 
 // newMachine builds cfg's machine (cfg has its defaults applied). The
@@ -136,17 +138,19 @@ func newMachine(cfg Config) (_ *machine, err error) {
 // primarySource opens cfg's primary stream: the replay cache when one is
 // attached, a fresh generator otherwise. Chaos mode interposes on it so
 // trace.read faults surface mid-run; it is never wrapped in production,
-// keeping the hot call edge devirtualised.
+// keeping the hot call edge devirtualised. The caller releases the
+// source when its reads end.
 func primarySource(cfg Config, spec trace.Spec) (trace.Source, error) {
 	streams := cfg.Streams
 	if streams == nil {
 		streams = trace.Generate{}
 	}
 	src, err := streams.Source(spec, primarySeed(cfg), 0)
-	if err == nil {
-		err = fault.Err(fault.SiteSimSource)
-	}
 	if err != nil {
+		return nil, err
+	}
+	if err := fault.Err(fault.SiteSimSource); err != nil {
+		release(src)
 		return nil, err
 	}
 	if fault.Enabled() {
@@ -187,6 +191,7 @@ func (m *machine) primaryCore() (*cpu.Core, error) {
 	if err != nil {
 		return nil, err
 	}
+	m.src = src
 	c, err := m.addCore(0, primaryCPU(m.cfg, spec), src)
 	if err != nil {
 		return nil, err
@@ -208,7 +213,9 @@ func (m *machine) addCore(id int, cc cpu.Config, src trace.Reader) (*cpu.Core, e
 	return c, nil
 }
 
-// release recycles the machine's arrays (see internal/recycle).
+// release recycles the machine's arrays (see internal/recycle) and
+// releases its primary stream, whose replay cache may then recycle the
+// stream's arenas.
 func (m *machine) release() {
 	for _, c := range m.cores {
 		c.Release()
@@ -217,6 +224,7 @@ func (m *machine) release() {
 		release(bp)
 	}
 	m.hier.Release()
+	release(m.src)
 }
 
 // tick advances the schedules that run on the primary core's

@@ -178,21 +178,25 @@ func (c Config) withDefaults() Config {
 	hc.Inclusion = c.Hier.Inclusion
 	hc.Prefetch = c.Hier.Prefetch
 	hc.Seed = c.Hier.Seed
-	for _, lvl := range []struct {
-		dst *cache.LevelConfig
-		src cache.LevelConfig
-	}{
-		{&hc.L1I, c.Hier.L1I}, {&hc.L1D, c.Hier.L1D},
-		{&hc.L2, c.Hier.L2}, {&hc.LLC, c.Hier.LLC},
-	} {
-		if lvl.src.SizeBytes != 0 {
-			*lvl.dst = lvl.src
-		} else if lvl.src.Policy != "" {
-			lvl.dst.Policy = lvl.src.Policy
-		}
-	}
+	hc.L1I = mergeLevel(hc.L1I, c.Hier.L1I)
+	hc.L1D = mergeLevel(hc.L1D, c.Hier.L1D)
+	hc.L2 = mergeLevel(hc.L2, c.Hier.L2)
+	hc.LLC = mergeLevel(hc.LLC, c.Hier.LLC)
 	c.Hier = hc
 	return c
+}
+
+// mergeLevel resolves one hierarchy level: src when it sets a size,
+// otherwise the default def with src's policy override. It works on
+// values so withDefaults stays off the heap.
+func mergeLevel(def, src cache.LevelConfig) cache.LevelConfig {
+	if src.SizeBytes != 0 {
+		return src
+	}
+	if src.Policy != "" {
+		def.Policy = src.Policy
+	}
+	return def
 }
 
 // Normalized returns the configuration with every defaulted field

@@ -213,6 +213,28 @@ func TestValidateRejectsContradictions(t *testing.T) {
 	}
 }
 
+// normalizedSink keeps TestDefaultsAllocFree's Normalized calls live.
+var normalizedSink Config
+
+// TestDefaultsAllocFree guards a cost every campaign pays several times
+// per config (ConfigKey, Validate, fan-out grouping, the run itself):
+// resolving and validating a preset config's defaults stays off the
+// heap, including a policy override on a defaulted level.
+func TestDefaultsAllocFree(t *testing.T) {
+	cfg := Config{Mode: PInTE, Workload: "433.milc", PInduce: 0.3, Seed: 1}
+	cfg.Hier.LLC.Policy = "rrip"
+	if n := testing.AllocsPerRun(100, func() { normalizedSink = cfg.Normalized() }); n != 0 {
+		t.Errorf("Normalized allocates %.0f times per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := cfg.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Validate allocates %.0f times per call, want 0", n)
+	}
+}
+
 func TestRunContextCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

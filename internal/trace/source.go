@@ -12,6 +12,13 @@ import (
 // Two Sources for the same (spec, seed, base) must yield identical
 // record sequences, whether the records are generated live or replayed
 // from a recording.
+//
+// A Source may also have a Release() method. The simulator calls it
+// exactly once, when the run that read the source has ended however it
+// ended, and reads no more after it: a replay cache's replayer then
+// lets the cache recycle its stream's memory. A wrapper around such a
+// Source should forward Release; one that does not leaves the stream
+// to the garbage collector.
 type Source interface {
 	BatchReader
 	Rewinder

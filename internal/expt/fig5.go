@@ -34,7 +34,6 @@ func reuseKL(second, pin *sim.Result) float64 {
 	return stats.KLDivergenceBits(
 		stats.U64ToF64(second.ReuseHist),
 		stats.U64ToF64(pin.ReuseHist),
-		stats.KLOptions{},
 	)
 }
 

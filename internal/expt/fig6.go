@@ -56,7 +56,7 @@ func randomKLBounds(refs [][]float64, draws int, seed uint64) (b99, b95, b90 flo
 			for i := range randHist {
 				randHist[i] = rng.Float64()
 			}
-			kls = append(kls, stats.KLDivergenceBits(randHist, ref, stats.KLOptions{}))
+			kls = append(kls, stats.KLDivergenceBits(randHist, ref))
 		}
 	}
 	if len(kls) == 0 {

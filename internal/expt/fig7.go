@@ -59,7 +59,7 @@ func seriesKL(second, pin []sim.Sample, metric int) float64 {
 		p[i] = sampleMetric(second[i], metric)
 		q[i] = sampleMetric(pin[i], metric)
 	}
-	return stats.KLDivergenceBits(p, q, stats.KLOptions{})
+	return stats.KLDivergenceBits(p, q)
 }
 
 // Fig7 computes run-time divergence and CRG coverage.

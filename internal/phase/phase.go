@@ -15,9 +15,9 @@
 // per-metric self-consistency error bounds computed from within-cluster
 // dispersion.
 //
-// Everything is deterministic: the same series, options, and seed
-// produce the same plan, byte for byte, like every other seeded
-// component in this repository.
+// Everything is deterministic: the same series and seed produce the
+// same plan, byte for byte, like every other seeded component in this
+// repository.
 package phase
 
 import (
@@ -38,45 +38,21 @@ var ErrTooShort = errors.New("phase: too few telemetry intervals to cluster")
 // L2 MPKI, LLC MPKI, LLC occupancy fraction, engine trigger rate.
 const featureDim = 6
 
-// Options tunes the clusterer. The zero value selects the defaults
-// noted on each field.
-type Options struct {
-	// MaxPhases caps the number of clusters (default 6).
-	MaxPhases int
-	// Components is the PCA dimensionality the intervals are reduced to
-	// before clustering (default 3, capped at the feature width).
-	Components int
-	// MinIntervals is the shortest series worth clustering; anything
-	// shorter returns ErrTooShort (default 8).
-	MinIntervals int
-	// ElbowGain is the k-selection threshold: growing k by one must
+// The clusterer's settings.
+const (
+	// maxPhases caps the number of clusters.
+	maxPhases = 6
+	// components is the PCA dimensionality the intervals are reduced to
+	// before clustering (at most featureDim).
+	components = 3
+	// minIntervals is the shortest series worth clustering; anything
+	// shorter returns ErrTooShort.
+	minIntervals = 8
+	// elbowGain is the k-selection threshold: growing k by one must
 	// reduce within-cluster variance by at least this fraction of the
-	// total variance, or the smaller k wins (default 0.12).
-	ElbowGain float64
-	// WindowWarmupInstrs is the detailed-warmup run-in simulated before
-	// each representative window to refill caches and the branch
-	// predictor after a skip (default: one interval width).
-	WindowWarmupInstrs uint64
-}
-
-func (o Options) withDefaults() Options {
-	if o.MaxPhases <= 0 {
-		o.MaxPhases = 6
-	}
-	if o.Components <= 0 {
-		o.Components = 3
-	}
-	if o.Components > featureDim {
-		o.Components = featureDim
-	}
-	if o.MinIntervals <= 0 {
-		o.MinIntervals = 8
-	}
-	if o.ElbowGain <= 0 {
-		o.ElbowGain = 0.12
-	}
-	return o
-}
+	// total variance, or the smaller k wins.
+	elbowGain = 0.12
+)
 
 // Window is one representative simulation window, in ROI-relative
 // instruction offsets ([Start, End) with Start counted from the first
@@ -152,18 +128,23 @@ type interval struct {
 	cluster    int
 }
 
-// Analyze clusters the series into phases and returns a sampling plan.
-// seed makes the (k-means++ and PCA initialisation) randomness
+// Analyze clusters the series into phases and returns a sampling plan
+// whose windows each get one interval width of detailed warmup. seed
+// makes the (k-means++ and PCA initialisation) randomness
 // deterministic; pass the run config's seed so plans are reproducible
 // alongside everything else.
-func Analyze(s *telemetry.Series, opt Options, seed uint64) (*Plan, error) {
-	opt = opt.withDefaults()
-	if s == nil || len(s.Intervals) < opt.MinIntervals {
+func Analyze(s *telemetry.Series, seed uint64) (*Plan, error) {
+	return analyze(s, maxPhases, seed)
+}
+
+// analyze is Analyze with at most maxK phases.
+func analyze(s *telemetry.Series, maxK int, seed uint64) (*Plan, error) {
+	if s == nil || len(s.Intervals) < minIntervals {
 		n := 0
 		if s != nil {
 			n = len(s.Intervals)
 		}
-		return nil, fmt.Errorf("%w: %d intervals, need %d", ErrTooShort, n, opt.MinIntervals)
+		return nil, fmt.Errorf("%w: %d intervals, need %d", ErrTooShort, n, minIntervals)
 	}
 
 	// The series records absolute instruction counts; windows are
@@ -185,24 +166,21 @@ func Analyze(s *telemetry.Series, opt Options, seed uint64) (*Plan, error) {
 			},
 		})
 	}
-	if len(ivs) < opt.MinIntervals {
-		return nil, fmt.Errorf("%w: %d non-empty intervals, need %d", ErrTooShort, len(ivs), opt.MinIntervals)
+	if len(ivs) < minIntervals {
+		return nil, fmt.Errorf("%w: %d non-empty intervals, need %d", ErrTooShort, len(ivs), minIntervals)
 	}
 
 	normalize(ivs)
 	pcg := rng.New(seed, 0x9e3779b97f4a7c15)
-	project(ivs, opt.Components, pcg)
-	k := selectK(ivs, opt, pcg)
+	project(ivs, components, pcg)
+	k := selectK(ivs, maxK, pcg)
 	assign := kmeans(ivs, k, pcg)
 
 	plan := &Plan{
 		Every:        s.Every,
 		Phases:       k,
 		Intervals:    len(ivs),
-		WarmupInstrs: opt.WindowWarmupInstrs,
-	}
-	if plan.WarmupInstrs == 0 {
-		plan.WarmupInstrs = s.Every
+		WarmupInstrs: s.Every,
 	}
 
 	for c := 0; c < k; c++ {
@@ -350,10 +328,8 @@ func normVec(v *[featureDim]float64) float64 {
 
 // selectK picks the cluster count by the elbow rule: the smallest k
 // whose successor fails to cut within-cluster variance by
-// opt.ElbowGain of the total, capped at MaxPhases (and at the interval
-// count).
-func selectK(ivs []interval, opt Options, pcg *rng.PCG) int {
-	maxK := opt.MaxPhases
+// elbowGain of the total, capped at maxK (and at the interval count).
+func selectK(ivs []interval, maxK int, pcg *rng.PCG) int {
 	if maxK > len(ivs) {
 		maxK = len(ivs)
 	}
@@ -364,7 +340,7 @@ func selectK(ivs []interval, opt Options, pcg *rng.PCG) int {
 	}
 	for k := 2; k <= maxK; k++ {
 		cur := wcss(ivs, kmeans(ivs, k, pcg))
-		if (prev-cur)/total < opt.ElbowGain {
+		if (prev-cur)/total < elbowGain {
 			return k - 1
 		}
 		prev = cur

@@ -41,7 +41,7 @@ func twoPhaseSeries(n int) *telemetry.Series {
 
 func TestAnalyzeTwoPhases(t *testing.T) {
 	s := twoPhaseSeries(40)
-	plan, err := Analyze(s, Options{}, 42)
+	plan, err := Analyze(s, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,11 +97,11 @@ func TestAnalyzeTwoPhases(t *testing.T) {
 
 func TestAnalyzeDeterministic(t *testing.T) {
 	s := twoPhaseSeries(40)
-	a, err := Analyze(s, Options{}, 7)
+	a, err := Analyze(s, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Analyze(twoPhaseSeries(40), Options{}, 7)
+	b, err := Analyze(twoPhaseSeries(40), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestAnalyzeUniformSeriesOnePhase(t *testing.T) {
 			EndInstrs: uint64(i+1) * 1000, Instrs: 1000, Cycles: 2000, IPC: 0.5, LLCMPKI: 3,
 		})
 	}
-	plan, err := Analyze(s, Options{}, 1)
+	plan, err := Analyze(s, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,17 +132,17 @@ func TestAnalyzeUniformSeriesOnePhase(t *testing.T) {
 }
 
 func TestAnalyzeTooShort(t *testing.T) {
-	if _, err := Analyze(twoPhaseSeries(5), Options{}, 1); !errors.Is(err, ErrTooShort) {
+	if _, err := Analyze(twoPhaseSeries(5), 1); !errors.Is(err, ErrTooShort) {
 		t.Fatalf("err = %v, want ErrTooShort", err)
 	}
-	if _, err := Analyze(nil, Options{}, 1); !errors.Is(err, ErrTooShort) {
+	if _, err := Analyze(nil, 1); !errors.Is(err, ErrTooShort) {
 		t.Fatalf("nil series err = %v, want ErrTooShort", err)
 	}
 }
 
 // TestAnalyzeMaxPhasesCap keeps the plan small even when the series is
 // genuinely diverse: a staircase of distinct levels must be capped at
-// MaxPhases with every interval still covered by some phase.
+// the phase cap with every interval still covered by some phase.
 func TestAnalyzeMaxPhasesCap(t *testing.T) {
 	s := &telemetry.Series{Every: 1000}
 	for i := 0; i < 32; i++ {
@@ -151,7 +151,7 @@ func TestAnalyzeMaxPhasesCap(t *testing.T) {
 			IPC: float64(i), LLCMPKI: float64(32 - i),
 		})
 	}
-	plan, err := Analyze(s, Options{MaxPhases: 3}, 9)
+	plan, err := analyze(s, 3, 9)
 	if err != nil {
 		t.Fatal(err)
 	}

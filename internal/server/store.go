@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/store"
 	"repro/internal/telemetry"
 )
 
@@ -135,37 +136,9 @@ func (st *Store) saveLocked() error {
 	if err := st.enc.Encode(&st.m); err != nil {
 		return err
 	}
-	tmp := st.manifestPath() + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
+	if err := store.WriteFileAtomic(st.manifestPath(), st.buf.Bytes()); err != nil {
 		telemetry.Server.ManifestErrors.Add(1)
 		return err
-	}
-	if _, err := f.Write(st.buf.Bytes()); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		telemetry.Server.ManifestErrors.Add(1)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		telemetry.Server.ManifestErrors.Add(1)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		telemetry.Server.ManifestErrors.Add(1)
-		return err
-	}
-	if err := os.Rename(tmp, st.manifestPath()); err != nil {
-		os.Remove(tmp)
-		telemetry.Server.ManifestErrors.Add(1)
-		return err
-	}
-	if dir, err := os.Open(st.dir); err == nil {
-		dir.Sync() //nolint:errcheck // advisory: data is already safe in the file
-		dir.Close()
 	}
 	return nil
 }

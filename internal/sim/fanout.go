@@ -107,28 +107,14 @@ func fanKeyConfig(n Config) Config {
 }
 
 // fanDigestEligible reports whether a (defaulted) config can ride the
-// digest executor: the front end must be point-invariant, which the
-// capture mode's preconditions (non-inclusive, prefetcher-free) plus a
-// single-core mode guarantee, and nothing outside the captured stream
-// may observe the run (telemetry reads private-level counters the
-// follower does not carry).
+// digest executor: a sample-eligible config — single-core, and nothing
+// outside the captured stream observes the run (telemetry reads
+// private-level counters the follower does not carry) — whose front end
+// is point-invariant, which the capture mode's preconditions
+// (non-inclusive, prefetcher-free) guarantee.
 func fanDigestEligible(cfg Config) bool {
-	if cfg.Mode != Isolation && cfg.Mode != PInTE {
-		return false
-	}
-	if cfg.Hier.Inclusion != cache.NonInclusive {
-		return false
-	}
-	if pf := cfg.Hier.Prefetch; pf != "" && pf != "000" {
-		return false
-	}
-	if cfg.Partitioning != "" || cfg.LLCWayAllocation != 0 {
-		return false
-	}
-	if cfg.IndependentPeriod != 0 || cfg.DRAMContentionProb != 0 {
-		return false
-	}
-	return cfg.TelemetryEvery == 0
+	pf := cfg.Hier.Prefetch
+	return sampleEligible(cfg) && cfg.Hier.Inclusion == cache.NonInclusive && (pf == "" || pf == "000")
 }
 
 // RunFanGroup executes a fan-out group: every config must carry the

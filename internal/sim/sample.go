@@ -39,8 +39,10 @@ type SampleStats struct {
 // schedules (partitioning epochs, independent injection, telemetry
 // collection) or probabilistic memory-side state (DRAM contention) are
 // excluded because skipping would silently decouple their clocks.
-func SampleEligible(cfg Config) bool {
-	c := cfg.withDefaults()
+func SampleEligible(cfg Config) bool { return sampleEligible(cfg.withDefaults()) }
+
+// sampleEligible is SampleEligible of a defaulted config.
+func sampleEligible(c Config) bool {
 	if c.Mode != Isolation && c.Mode != PInTE {
 		return false
 	}

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/phase"
 	"repro/internal/replay"
 )
@@ -108,7 +109,7 @@ func profileAndPlan(t *testing.T, cfg Config, every uint64) *phase.Plan {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := phase.Analyze(res.Telemetry, phase.Options{}, cfg.Seed)
+	plan, err := phase.Analyze(res.Telemetry, cfg.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,6 +185,25 @@ func TestSampleEligible(t *testing.T) {
 	for name, cfg := range cases {
 		if SampleEligible(cfg) {
 			t.Errorf("%s config wrongly eligible", name)
+		}
+		// The digest executor's rule is the sampling rule plus the front
+		// capture's preconditions, so it refuses everything sampling does.
+		if fanDigestEligible(cfg.Normalized()) {
+			t.Errorf("%s config wrongly digest-eligible", name)
+		}
+	}
+	if !fanDigestEligible(ok.Normalized()) {
+		t.Error("plain PInTE config not digest-eligible")
+	}
+	inclusive, prefetching := ok, ok
+	inclusive.Hier.Inclusion = cache.Inclusive
+	prefetching.Hier.Prefetch = "0IN"
+	for name, cfg := range map[string]Config{"inclusive": inclusive, "prefetching": prefetching} {
+		if !SampleEligible(cfg) {
+			t.Errorf("%s config not sample-eligible", name)
+		}
+		if fanDigestEligible(cfg.Normalized()) {
+			t.Errorf("%s config wrongly digest-eligible: the front end is not point-invariant", name)
 		}
 	}
 	bad := ok

@@ -387,7 +387,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, ctxError(ctx)
 	}
 	if cfg.Sample != nil {
-		if !SampleEligible(cfg) {
+		if !sampleEligible(cfg) {
 			return nil, fmt.Errorf("%w: config is not sample-eligible but carries a sampling plan", ErrBadConfig)
 		}
 		return runSampled(ctx, cfg)

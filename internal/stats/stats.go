@@ -68,29 +68,23 @@ func NormStdDev(xs []float64) float64 {
 	return StdDev(xs) / math.Abs(m)
 }
 
-// KLOptions controls divergence computation.
-type KLOptions struct {
-	// Epsilon is the smoothing mass given to empty buckets so that the
-	// divergence stays finite (the standard additive smoothing used
-	// when comparing empirical histograms); 0 means 1e-6.
-	Epsilon float64
-}
+// klEpsilon is the smoothing mass given to every bucket so that the
+// divergence stays finite on empty buckets (the standard additive
+// smoothing used when comparing empirical histograms).
+const klEpsilon = 1e-6
 
 // KLDivergenceBits is Eq 5: D_KL(p‖q) in log-base-2 (bits). p and q are
 // histograms (not necessarily normalised) over the same buckets; both are
-// smoothed with opts.Epsilon and normalised internally. It panics if the
+// smoothed with klEpsilon and normalised internally. It panics if the
 // lengths differ, which is a programming error.
-func KLDivergenceBits(p, q []float64, opts KLOptions) float64 {
+func KLDivergenceBits(p, q []float64) float64 {
 	if len(p) != len(q) {
 		panic(fmt.Sprintf("stats: KL histogram length mismatch %d vs %d", len(p), len(q)))
 	}
 	if len(p) == 0 {
 		return 0
 	}
-	eps := opts.Epsilon
-	if eps == 0 {
-		eps = 1e-6
-	}
+	const eps = klEpsilon
 	var sp, sq float64
 	for i := range p {
 		sp += p[i] + eps

@@ -60,7 +60,7 @@ func TestNormStdDev(t *testing.T) {
 
 func TestKLIdenticalIsZero(t *testing.T) {
 	p := []float64{1, 2, 3, 4, 0, 5}
-	if d := KLDivergenceBits(p, p, KLOptions{}); d != 0 {
+	if d := KLDivergenceBits(p, p); d != 0 {
 		t.Errorf("KL(p,p) = %v, want 0", d)
 	}
 }
@@ -69,7 +69,7 @@ func TestKLNonNegativeProperty(t *testing.T) {
 	f := func(pa, pb, pc, qa, qb, qc uint16) bool {
 		p := []float64{float64(pa), float64(pb), float64(pc)}
 		q := []float64{float64(qa), float64(qb), float64(qc)}
-		return KLDivergenceBits(p, q, KLOptions{}) >= 0
+		return KLDivergenceBits(p, q) >= 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -79,8 +79,8 @@ func TestKLNonNegativeProperty(t *testing.T) {
 func TestKLAsymmetricAndFiniteOnZeros(t *testing.T) {
 	p := []float64{100, 0, 0}
 	q := []float64{1, 1, 98}
-	d1 := KLDivergenceBits(p, q, KLOptions{})
-	d2 := KLDivergenceBits(q, p, KLOptions{})
+	d1 := KLDivergenceBits(p, q)
+	d2 := KLDivergenceBits(q, p)
 	if math.IsInf(d1, 0) || math.IsInf(d2, 0) {
 		t.Fatal("smoothed KL returned infinity")
 	}
@@ -97,7 +97,7 @@ func TestKLKnownValue(t *testing.T) {
 	// q=(0.5,0.5) is 1 bit (up to smoothing).
 	p := []float64{1, 0}
 	q := []float64{0.5, 0.5}
-	d := KLDivergenceBits(p, q, KLOptions{Epsilon: 1e-12})
+	d := KLDivergenceBits(p, q)
 	if math.Abs(d-1) > 1e-3 {
 		t.Errorf("KL = %v bits, want ≈1", d)
 	}
@@ -109,7 +109,7 @@ func TestKLLengthMismatchPanics(t *testing.T) {
 			t.Fatal("length mismatch did not panic")
 		}
 	}()
-	KLDivergenceBits([]float64{1}, []float64{1, 2}, KLOptions{})
+	KLDivergenceBits([]float64{1}, []float64{1, 2})
 }
 
 func TestSummarize(t *testing.T) {

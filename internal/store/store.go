@@ -704,31 +704,36 @@ func (s *Store) saveMeta(m meta) error {
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(s.dir, "meta.json.tmp")
+	return WriteFileAtomic(filepath.Join(s.dir, "meta.json"), append(b, '\n'))
+}
+
+// WriteFileAtomic replaces the file at path with data durably: it writes
+// path+".tmp", fsyncs and closes it, renames it over path, then fsyncs
+// the directory, best effort (the data is already safe in the file). On
+// a failure before the rename the temporary file is removed and path is
+// left as it was.
+func WriteFileAtomic(path string, data []byte) error {
+	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(append(b, '\n')); err != nil {
-		f.Close()
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(s.dir, "meta.json")); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if dir, err := os.Open(s.dir); err == nil {
-		dir.Sync() //nolint:errcheck // advisory
+	if dir, err := os.Open(filepath.Dir(path)); err == nil {
+		dir.Sync() //nolint:errcheck // advisory: the data is already safe in the file
 		dir.Close()
 	}
 	return nil

@@ -261,7 +261,7 @@ func DefaultSweep() []float64 { return pcore.DefaultSweep() }
 // KLDivergenceBits is Eq 5: the Kullback–Leibler divergence between two
 // histograms in bits (p observed, q reference).
 func KLDivergenceBits(p, q []float64) float64 {
-	return stats.KLDivergenceBits(p, q, stats.KLOptions{})
+	return stats.KLDivergenceBits(p, q)
 }
 
 // Sensitivity classifies a set of weighted-IPC samples at a tolerable

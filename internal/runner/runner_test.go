@@ -123,6 +123,31 @@ func TestRunAllIsolatesRealFailures(t *testing.T) {
 	}
 }
 
+// TestRunAllFailsUnhashableConfig runs a config whose key cannot be
+// encoded (a NaN P_Induce) in a plain and in a sampled, stream-releasing
+// campaign: it fails as ErrBadConfig without running, and the other
+// config runs.
+func TestRunAllFailsUnhashableConfig(t *testing.T) {
+	bad := tinyCfg("433.milc", 0.2)
+	bad.PInduce = math.NaN()
+	cfgs := []sim.Config{tinyCfg("433.milc", 0.1), bad}
+	for _, opts := range []Options{
+		{Workers: 2},
+		{Workers: 2, Sample: true, Streams: replay.NewCache(0)},
+	} {
+		out, err := New(opts).RunAll(context.Background(), cfgs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Results[0] == nil || out.Ran != 1 {
+			t.Fatalf("sample=%v: hashable config did not run: Ran=%d", opts.Sample, out.Ran)
+		}
+		if len(out.Failures) != 1 || out.Failures[0].Index != 1 || !errors.Is(out.Failures[0].Err, sim.ErrBadConfig) {
+			t.Fatalf("sample=%v: failures %v, want config 1 as ErrBadConfig", opts.Sample, out.Failures)
+		}
+	}
+}
+
 func TestRetryPerturbsSeed(t *testing.T) {
 	var calls atomic.Int32
 	o := New(Options{Workers: 1, Retries: 2})

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/replay"
 	"repro/internal/sim"
 	"repro/internal/store"
 	"repro/internal/telemetry"
@@ -369,6 +370,45 @@ func TestSampledCampaignResumesFromStore(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		if resultBytes(t, out.Results[i]) != resultBytes(t, first.Results[i]) {
 			t.Fatalf("stored sampled point %d changed across the resume", i)
+		}
+	}
+}
+
+// TestSampledCachedCampaignRerunsFromStore reruns a finished sampled
+// campaign that releases its replay cache's streams: every config is a
+// store hit, and finishing the hits before the profile groups' streams
+// are tracked releases nothing and runs nothing.
+func TestSampledCachedCampaignRerunsFromStore(t *testing.T) {
+	var cfgs []sim.Config
+	for _, w := range []string{"433.milc", "470.lbm"} {
+		for _, p := range []float64{0.1, 0.4} {
+			cfg := tinyCfg(w, p)
+			cfg.ROIInstrs = 200_000 // enough windows for a plan to form
+			cfgs = append(cfgs, cfg)
+		}
+	}
+	st := openStore(t, t.TempDir(), "sim-test")
+	run := func() *Outcome {
+		t.Helper()
+		cache := replay.NewCache(0)
+		out, err := New(Options{Workers: 2, Store: st, Sample: true, Streams: cache}).
+			RunAll(context.Background(), cfgs)
+		if err != nil || out.Err() != nil {
+			t.Fatalf("campaign: %v / %v", err, out.Err())
+		}
+		return out
+	}
+	first := run()
+	if first.Ran != len(cfgs) {
+		t.Fatalf("first pass Ran=%d, want %d", first.Ran, len(cfgs))
+	}
+	again := run()
+	if again.FromStore != len(cfgs) || again.Ran != 0 {
+		t.Fatalf("rerun FromStore=%d Ran=%d, want %d/0", again.FromStore, again.Ran, len(cfgs))
+	}
+	for i := range cfgs {
+		if resultBytes(t, again.Results[i]) != resultBytes(t, first.Results[i]) {
+			t.Fatalf("stored point %d changed across the rerun", i)
 		}
 	}
 }

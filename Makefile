@@ -130,8 +130,12 @@ sample-check:
 		./internal/phase ./internal/sim ./internal/runner ./internal/replay
 
 # Result-store gate, race-enabled: the content-addressed store's full
-# suite (durability, fingerprint isolation, GC, single-flight) plus its
-# campaign/service integration tests; the committed simulator
+# suite (durability, fingerprint isolation, GC, single-flight, byte-
+# identical framing, the reopen's per-record allocation bound) plus its
+# campaign/service integration tests and the service manifest's oracle
+# tests (every save byte-identical to encoding the whole manifest, with
+# rollback); 10 s of FuzzSegmentScan, the segment scan's corruption
+# contract over arbitrary bytes; the committed simulator
 # fingerprint must match the tree (a drifted simulator with a stale
 # fingerprint would poison every shared store); the store-verify
 # integrity gate replays the golden matrix live; and the warm-restart
@@ -140,8 +144,9 @@ sample-check:
 # FromStore == 12 with byte-identical results).
 store-check:
 	$(GO) test -race -count=1 ./internal/store/...
-	$(GO) test -race -count=1 -run 'TestStore|TestMemoCounters|TestRunnerStore|TestServeDuplicateTenants|TestServeStoreAcrossRestart' \
+	$(GO) test -race -count=1 -run 'TestStore|TestMemoCounters|TestRunnerStore|TestServeDuplicateTenants|TestServeStoreAcrossRestart|TestServeManifest' \
 		./internal/runner ./internal/expt ./internal/server
+	$(GO) test -run '^$$' -fuzz FuzzSegmentScan -fuzztime 10s -parallel 2 ./internal/store
 	$(GO) run ./cmd/simfp -root . -check
 	$(GO) run ./cmd/pintetrace store-verify -goldens internal/sim/testdata
 	$(GO) test -bench 'BenchmarkSweepWarmRestart' -benchtime 1x -run '^$$' .

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -80,15 +81,26 @@ type manifest struct {
 // back in memory on failure, so the in-memory view never claims
 // durability it doesn't have — a crash at any instant leaves either the
 // old manifest or the new one.
+//
+// A save encodes only the campaign it changes. The store keeps every
+// campaign's encoded `"id":{...}` member and the IDs in sorted order,
+// and a save joins the members into one reused buffer, so manifest.json
+// is byte for byte what json.Encoder writes for the whole manifest, at
+// the cost of a copy rather than a re-encoding of every campaign.
 type Store struct {
 	mu  sync.Mutex
 	dir string
 	m   manifest
-	// buf holds the encoded manifest; enc writes compact JSON into it.
-	// Both are reused across saves (under mu), so a save costs the
-	// write, not a fresh copy of the whole manifest.
-	buf bytes.Buffer
-	enc *json.Encoder
+	// members holds each campaign's encoded member of the campaigns
+	// object and ids the campaign IDs in the sorted order json.Encoder
+	// writes a map's keys in; both always cover exactly m's campaigns.
+	members map[string][]byte
+	ids     []string
+	// buf holds the joined manifest and scratch one encoded member;
+	// enc encodes into scratch. All are reused across saves (under mu).
+	buf     []byte
+	scratch bytes.Buffer
+	enc     *json.Encoder
 }
 
 // OpenStore opens (creating if needed) the manifest rooted at dir.
@@ -96,8 +108,12 @@ func OpenStore(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	st := &Store{dir: dir, m: manifest{Campaigns: make(map[string]*CampaignMeta)}}
-	st.enc = json.NewEncoder(&st.buf)
+	st := &Store{
+		dir:     dir,
+		m:       manifest{Campaigns: make(map[string]*CampaignMeta)},
+		members: make(map[string][]byte),
+	}
+	st.enc = json.NewEncoder(&st.scratch)
 	b, err := os.ReadFile(st.manifestPath())
 	if errors.Is(err, os.ErrNotExist) {
 		return st, nil
@@ -111,6 +127,16 @@ func OpenStore(dir string) (*Store, error) {
 	if st.m.Campaigns == nil {
 		st.m.Campaigns = make(map[string]*CampaignMeta)
 	}
+	st.ids = make([]string, 0, len(st.m.Campaigns))
+	for id, meta := range st.m.Campaigns {
+		member, err := st.encodeMember(id, meta)
+		if err != nil {
+			return nil, fmt.Errorf("manifest %s: %w", st.manifestPath(), err)
+		}
+		st.members[id] = member
+		st.ids = append(st.ids, id)
+	}
+	sort.Strings(st.ids)
 	return st, nil
 }
 
@@ -125,22 +151,56 @@ func NewID() string {
 	return "c-" + hex.EncodeToString(b[:])
 }
 
-// saveLocked persists the manifest atomically. The caller holds st.mu
-// and must roll back its in-memory mutation if this fails.
+// encodeMember renders one campaign as its member of the manifest's
+// campaigns object, `"id":{...}`, escaped as json.Encoder escapes a map
+// key and value (caller holds st.mu, or owns st).
+func (st *Store) encodeMember(id string, meta *CampaignMeta) ([]byte, error) {
+	st.scratch.Reset()
+	if err := st.enc.Encode(id); err != nil {
+		return nil, err
+	}
+	st.scratch.Truncate(st.scratch.Len() - 1) // Encode's newline
+	st.scratch.WriteByte(':')
+	if err := st.enc.Encode(meta); err != nil {
+		return nil, err
+	}
+	return bytes.Clone(st.scratch.Bytes()[:st.scratch.Len()-1]), nil
+}
+
+// saveLocked persists the manifest atomically from the encoded members.
+// The caller holds st.mu and must roll back its in-memory mutation, the
+// record and its member together, if this fails.
 func (st *Store) saveLocked() error {
 	if err := fault.Err(fault.SiteServerManifest); err != nil {
 		telemetry.Server.ManifestErrors.Add(1)
 		return err
 	}
-	st.buf.Reset()
-	if err := st.enc.Encode(&st.m); err != nil {
-		return err
+	st.buf = append(st.buf[:0], `{"campaigns":{`...)
+	for i, id := range st.ids {
+		if i > 0 {
+			st.buf = append(st.buf, ',')
+		}
+		st.buf = append(st.buf, st.members[id]...)
 	}
-	if err := store.WriteFileAtomic(st.manifestPath(), st.buf.Bytes()); err != nil {
+	st.buf = append(st.buf, "}}\n"...)
+	if err := store.WriteFileAtomic(st.manifestPath(), st.buf); err != nil {
 		telemetry.Server.ManifestErrors.Add(1)
 		return err
 	}
 	return nil
+}
+
+// insertID adds a new campaign ID to the sorted ID list; removeID takes
+// one out (caller holds st.mu).
+func (st *Store) insertID(id string) {
+	i, _ := slices.BinarySearch(st.ids, id)
+	st.ids = slices.Insert(st.ids, i, id)
+}
+
+func (st *Store) removeID(id string) {
+	if i, found := slices.BinarySearch(st.ids, id); found {
+		st.ids = slices.Delete(st.ids, i, i+1)
+	}
 }
 
 // Put inserts or replaces a campaign's manifest record durably. On a
@@ -150,14 +210,24 @@ func (st *Store) saveLocked() error {
 func (st *Store) Put(meta CampaignMeta) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	old, had := st.m.Campaigns[meta.ID]
 	cp := meta
-	st.m.Campaigns[meta.ID] = &cp
+	member, err := st.encodeMember(cp.ID, &cp)
+	if err != nil {
+		return err
+	}
+	old, had := st.m.Campaigns[cp.ID]
+	oldMember := st.members[cp.ID]
+	st.m.Campaigns[cp.ID], st.members[cp.ID] = &cp, member
+	if !had {
+		st.insertID(cp.ID)
+	}
 	if err := st.saveLocked(); err != nil {
 		if had {
-			st.m.Campaigns[meta.ID] = old
+			st.m.Campaigns[cp.ID], st.members[cp.ID] = old, oldMember
 		} else {
-			delete(st.m.Campaigns, meta.ID)
+			delete(st.m.Campaigns, cp.ID)
+			delete(st.members, cp.ID)
+			st.removeID(cp.ID)
 		}
 		return err
 	}
@@ -194,8 +264,15 @@ func (st *Store) SetState(id string, state CampaignState, errMsg string, receive
 	} else {
 		cur.Finished = time.Time{}
 	}
-	if err := st.saveLocked(); err != nil {
+	member, err := st.encodeMember(id, cur)
+	if err != nil {
 		*cur = old
+		return err
+	}
+	oldMember := st.members[id]
+	st.members[id] = member
+	if err := st.saveLocked(); err != nil {
+		*cur, st.members[id] = old, oldMember
 		return err
 	}
 	return nil
@@ -212,9 +289,13 @@ func (st *Store) Delete(id string) error {
 	if !had {
 		return nil
 	}
+	oldMember := st.members[id]
 	delete(st.m.Campaigns, id)
+	delete(st.members, id)
+	st.removeID(id)
 	if err := st.saveLocked(); err != nil {
-		st.m.Campaigns[id] = old
+		st.m.Campaigns[id], st.members[id] = old, oldMember
+		st.insertID(id)
 		return err
 	}
 	return nil

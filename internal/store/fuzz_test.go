@@ -74,6 +74,9 @@ func FuzzSegmentScan(f *testing.F) {
 	f.Add([]byte(`{"fp":"sim-fuzz","key":"k","result":{"IPC":1}}` + "\n"))
 	f.Add([]byte("\n\n\n"))
 	f.Add([]byte{0xff, 0xfe, 0x00, '\n', '{'})
+	for _, payload := range badRecords { // well framed, valid CRC, not servable
+		f.Add(append(frameLine([]byte(payload)), real...))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		diff := storeDelta()

@@ -14,12 +14,16 @@
 // append-only segment files (seg-<seq>.seg) under one directory, plus a
 // small meta.json carrying the segment sequence counter and the LRU
 // clock, written with the write-temp→fsync→rename discipline of the
-// service manifest. Each Put is one write and one fsync. There is no
-// persistent index: the in-memory index is rebuilt by scanning the
-// segments on open (no mmap). The scan's corruption contract: a torn
-// final record — the incomplete line a crash or a failed append leaves —
-// is benign and trimmed, a corrupt record anywhere else is skipped and
-// counted, and every intact record after it is still indexed.
+// service manifest. Each Put is one write and one fsync of a line framed
+// in one buffer the store reuses. There is no persistent index: the
+// in-memory index is rebuilt by scanning the segments on open (no mmap),
+// through one line reader and one decode target reused across every
+// record, so an open allocates per record what the index keeps, not
+// what the result holds. The scan's corruption contract: a torn final
+// record — the incomplete line a crash or a failed append leaves — is
+// benign and trimmed, a corrupt record anywhere else is skipped and
+// counted, and every intact record after it is still indexed. The scan
+// decodes each record in full, so every record it indexes reads back.
 //
 // Staleness. Each record embeds the simulator fingerprint of the build
 // that wrote it. Only records matching the opening build's fingerprint
@@ -42,10 +46,12 @@ package store
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -139,6 +145,10 @@ type Store struct {
 	index map[string]loc
 	w     *os.File // append handle of the writing segment
 	clock int64
+	// wbuf frames each appended record and wenc encodes into it; both
+	// are reused across appends (under mu).
+	wbuf bytes.Buffer
+	wenc *json.Encoder
 
 	fmu     sync.Mutex
 	flights map[string]*flight
@@ -179,6 +189,7 @@ func open(opts Options) (*Store, error) {
 		index:   make(map[string]loc),
 		flights: make(map[string]*flight),
 	}
+	s.wenc = json.NewEncoder(&s.wbuf)
 	if s.fp == "" {
 		s.fp = Fingerprint()
 	}
@@ -199,13 +210,14 @@ func open(opts Options) (*Store, error) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	sort.Strings(names)
+	sc := newScanner()
 	for _, path := range names {
 		seg := &segment{name: filepath.Base(path), path: path}
 		fmt.Sscanf(seg.name, "seg-%d.seg", &seg.seq) //nolint:errcheck // unparsable names sort first and stay seq 0
 		if lh, ok := m.LastHit[seg.name]; ok {
 			seg.lastHit = lh
 		}
-		if err := s.scanSegment(seg); err != nil {
+		if err := s.scanSegment(seg, sc); err != nil {
 			return nil, err
 		}
 		s.segs = append(s.segs, seg)
@@ -231,52 +243,102 @@ func open(opts Options) (*Store, error) {
 	return s, nil
 }
 
+// scanBufBytes sizes the line reader an open shares across its
+// segments: a record longer than this is gathered in the scanner's
+// spill buffer instead.
+const scanBufBytes = 64 << 10
+
+// scanner is what one open reuses across every record of every
+// segment: the line reader, the spill buffer for lines longer than the
+// reader, and the record and result each line decodes into.
+type scanner struct {
+	r     *bufio.Reader
+	spill []byte
+	rec   record
+	res   sim.Result
+}
+
+func newScanner() *scanner {
+	return &scanner{r: bufio.NewReaderSize(nil, scanBufBytes)}
+}
+
+// line returns the next line, its newline included when it has one.
+// The bytes are valid until the next call.
+func (sc *scanner) line() ([]byte, error) {
+	line, err := sc.r.ReadSlice('\n')
+	if err != bufio.ErrBufferFull {
+		return line, err
+	}
+	sc.spill = append(sc.spill[:0], line...)
+	for err == bufio.ErrBufferFull {
+		line, err = sc.r.ReadSlice('\n')
+		sc.spill = append(sc.spill, line...)
+	}
+	return sc.spill, err
+}
+
+// unsetWallTime marks the scanner's result target before each decode.
+// Every result the store writes carries a WallTime, never negative, so
+// a decode that leaves the mark in place met no written result.
+const unsetWallTime = math.MinInt64
+
+// decode reports whether line (without its newline) is an intact
+// record, leaving its fingerprint and key in sc.rec: a keyed record
+// whose result is present, not null, and decodes in full, as a
+// read-back decodes it. The result decodes into the scanner's one
+// target, whose slices a later record reuses; fields a record leaves
+// out may keep an earlier record's values, which nothing reads.
+func (sc *scanner) decode(line []byte) bool {
+	sc.res.WallTime = unsetWallTime
+	sc.rec = record{Result: &sc.res}
+	if parseRecord(line, &sc.rec) != nil || sc.rec.Key == "" || sc.rec.Result == nil {
+		return false
+	}
+	if sc.rec.Result != &sc.res || sc.res.WallTime != unsetWallTime {
+		return true // the decoder wrote a result
+	}
+	// A target the decoder left alone cannot tell an absent result from
+	// one without a WallTime: decode afresh, where an absent one is nil.
+	var rec record
+	return parseRecord(line, &rec) == nil && rec.Result != nil
+}
+
 // scanSegment rebuilds seg's index contribution. Records under other
 // fingerprints are counted stale and kept un-indexed; corrupt records
 // are skipped and counted; a torn tail — an incomplete final line, which
 // only a crash or a failed append leaves — is trimmed, so the segment
 // ends on a clean line boundary.
-func (s *Store) scanSegment(seg *segment) error {
+func (s *Store) scanSegment(seg *segment, sc *scanner) error {
 	f, err := os.Open(seg.path)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	defer f.Close()
-	r := bufio.NewReaderSize(f, 256<<10)
+	sc.r.Reset(f)
 	var off int64
 	torn := false
 	goodEnd := int64(0)
 	for {
-		line, err := r.ReadBytes('\n')
+		line, err := sc.line()
 		if len(line) == 0 && err != nil {
 			break
 		}
 		n := len(line)
-		complete := n > 0 && line[n-1] == '\n'
-		if complete {
-			line = line[:n-1]
-		}
-		var rec record
-		if !complete || parseRecord(line, &rec) != nil || rec.Key == "" || rec.Result == nil {
-			if !complete {
-				torn = true
-			} else {
-				telemetry.StoreC.CorruptRecords.Add(1)
-			}
-			off += int64(n)
-			if err != nil {
-				break
-			}
-			continue
-		}
-		if rec.FP == s.fp {
-			s.index[rec.Key] = loc{seg: seg, off: off, n: n - 1}
-			seg.keys = append(seg.keys, rec.Key)
+		complete := line[n-1] == '\n'
+		if !complete {
+			torn = true
+		} else if !sc.decode(line[:n-1]) {
+			telemetry.StoreC.CorruptRecords.Add(1)
 		} else {
-			telemetry.StoreC.StaleSkipped.Add(1)
+			if sc.rec.FP == s.fp {
+				s.index[sc.rec.Key] = loc{seg: seg, off: off, n: n - 1}
+				seg.keys = append(seg.keys, sc.rec.Key)
+			} else {
+				telemetry.StoreC.StaleSkipped.Add(1)
+			}
+			goodEnd = off + int64(n)
 		}
 		off += int64(n)
-		goodEnd = off
 		if err != nil {
 			break
 		}
@@ -292,18 +354,21 @@ func (s *Store) scanSegment(seg *segment) error {
 	return nil
 }
 
-// frameRecord renders one checksummed segment line (without newline).
-func frameRecord(rec record) ([]byte, error) {
-	payload, err := json.Marshal(rec)
-	if err != nil {
+// frameLocked renders rec as one checksummed segment line, newline
+// included, into the store's reused framing buffer: it reserves the
+// prefix, encodes the payload after it (the encoder supplies the
+// newline, and escapes as json.Marshal does), then writes the payload's
+// checksum into the prefix. The line is valid until the next call
+// (caller holds s.mu).
+func (s *Store) frameLocked(rec record) ([]byte, error) {
+	s.wbuf.Reset()
+	s.wbuf.WriteString("!00000000 ")
+	if err := s.wenc.Encode(rec); err != nil {
 		return nil, err
 	}
-	line := make([]byte, crcPrefixLen+len(payload))
-	line[0] = crcSigil
-	sum := crc32.Checksum(payload, crcTable)
+	line := s.wbuf.Bytes()
+	sum := crc32.Checksum(line[crcPrefixLen:len(line)-1], crcTable)
 	hex.Encode(line[1:1+crcHexLen], []byte{byte(sum >> 24), byte(sum >> 16), byte(sum >> 8), byte(sum)})
-	line[crcPrefixLen-1] = ' '
-	copy(line[crcPrefixLen:], payload)
 	return line, nil
 }
 
@@ -472,22 +537,23 @@ func (s *Store) Put(key string, res *sim.Result) error {
 }
 
 func (s *Store) put(key string, res *sim.Result) error {
-	line, err := frameRecord(record{FP: s.fp, Key: key, Result: res})
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if len(line) > maxRecordBytes {
-		return fmt.Errorf("store: record for %s exceeds %d bytes", key, maxRecordBytes)
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return fmt.Errorf("store: closed")
 	}
+	line, err := s.frameLocked(record{FP: s.fp, Key: key, Result: res})
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	n := len(line) - 1 // the record's bytes, without its newline
+	if n > maxRecordBytes {
+		return fmt.Errorf("store: record for %s exceeds %d bytes", key, maxRecordBytes)
+	}
 	if err := fault.Err(fault.SiteStoreAppend); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	if s.w == nil || s.writing().size+int64(len(line))+1 > s.segMax {
+	if s.w == nil || s.writing().size+int64(len(line)) > s.segMax {
 		if err := s.rollLocked(); err != nil {
 			return err
 		}
@@ -498,12 +564,12 @@ func (s *Store) put(key string, res *sim.Result) error {
 		// Simulated crash mid-append: half the record reaches the disk
 		// with no newline — the torn write a power loss produces, which
 		// the next open must trim as a benign torn tail.
-		s.w.Write(line[:len(line)/2]) //nolint:errcheck // injected crash
-		s.w.Sync()                    //nolint:errcheck
+		s.w.Write(line[:n/2]) //nolint:errcheck // injected crash
+		s.w.Sync()            //nolint:errcheck
 		s.retireWriterLocked()
 		return fmt.Errorf("store: %w at %s", fault.ErrInjected, fault.SiteStoreAppendPartial)
 	}
-	if _, err := s.w.Write(append(line, '\n')); err != nil {
+	if _, err := s.w.Write(line); err != nil {
 		s.retireWriterLocked()
 		return fmt.Errorf("store: appending to %s: %w", seg.name, err)
 	}
@@ -513,8 +579,8 @@ func (s *Store) put(key string, res *sim.Result) error {
 		s.retireWriterLocked()
 		return fmt.Errorf("store: %w", err)
 	}
-	seg.size = off + int64(len(line)) + 1
-	s.index[key] = loc{seg: seg, off: off, n: len(line)}
+	seg.size = off + int64(len(line))
+	s.index[key] = loc{seg: seg, off: off, n: n}
 	seg.keys = append(seg.keys, key)
 	s.clock++
 	seg.lastHit = s.clock

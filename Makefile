@@ -104,7 +104,10 @@ serve-check:
 # simulator and campaign level. The arena-recycling tests run five times
 # under -race with the package's use-after-recycle oracle (every
 # reclaimed arena is scribbled, so a reclaim under a live reader reads
-# wrong records). Two fuzz smokes close the gate: 10 s of the arena
+# wrong records). Under -race too, a replay-cached campaign must release
+# each stream once at its last reader, fan-out fallbacks included, and
+# the experiment runner's batches must share their cache without
+# releasing it. Two fuzz smokes close the gate: 10 s of the arena
 # codec's round trip (FuzzStreamRoundTrip: arbitrary record sequences
 # read back through NextBatch, Next and Skip must be exact, also when
 # recorded over recycled arenas) and 20 s of the campaign-path
@@ -116,6 +119,8 @@ replay-check:
 	$(GO) test -race -count=5 \
 		-run 'TestReleaseKeepsReplayers|TestConcurrentSkipAndRead|TestReclaimWaitsForReaders|TestCorruptStreamNeverRecycled' \
 		./internal/replay
+	$(GO) test -race -count=1 -run 'TestCampaignReleasesStreams|TestRunnerBatchesShareStreams' \
+		./internal/runner ./internal/expt
 	$(GO) test -run '^$$' -fuzz FuzzStreamRoundTrip -fuzztime 10s -parallel 2 ./internal/replay
 	$(GO) test -run '^$$' -fuzz FuzzCampaignPaths -fuzztime 20s -parallel 2 ./internal/runner
 

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/replay"
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -89,6 +90,31 @@ func TestRunnerMemoizes(t *testing.T) {
 	}
 	if c == a {
 		t.Fatal("distinct configs shared a memo entry")
+	}
+}
+
+// TestRunnerBatchesShareStreams checks the runner's stream cache
+// outlives each batch's campaign: a second batch on the same workloads
+// replays the streams the first recorded, and no batch releases them.
+func TestRunnerBatchesShareStreams(t *testing.T) {
+	s := micro()
+	s.Warmup, s.ROI, s.SampleEvery = 8_000, 24_000, 6_000
+	r := NewRunner(s)
+	cache := r.Streams.(*replay.Cache)
+	var first, second []sim.Config
+	for _, w := range s.Workloads {
+		first = append(first, r.Iso(w), r.Pinte(w, s.Sweep[0]))
+		second = append(second, r.Pinte(w, s.Sweep[1]))
+	}
+	if _, err := r.GetAll(first); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.GetAll(second); err != nil {
+		t.Fatal(err)
+	}
+	n := int64(len(s.Workloads))
+	if st := cache.Snapshot(); st.Misses != n || st.Released != 0 || st.Streams != int(n) {
+		t.Errorf("replay cache after two batches: %s; want %d streams recorded once and kept", st, n)
 	}
 }
 

@@ -38,8 +38,10 @@ const replayBudget = 1 << 30
 // byte-identical to generated ones, so memoized values are unaffected.
 type Runner struct {
 	Scale Scale
-	// Streams is the campaign-wide record/replay cache handed to every
-	// run; set it to nil to regenerate streams per run.
+	// Streams is the record/replay cache shared by every batch; set it
+	// to nil to regenerate streams per run. Each batch's campaign gets
+	// it without Release, so no batch drops a stream a later one
+	// replays.
 	Streams trace.SourceProvider
 	// Store, when non-nil, is the durable cross-campaign result store:
 	// the in-process memo becomes a warm layer over it — memo misses
@@ -161,7 +163,11 @@ func (r *Runner) GetAll(cfgs []sim.Config) ([]*sim.Result, error) {
 		// Fan-out is always on for experiment batches: a sweep's points
 		// share one decode pass, results are byte-identical, and any
 		// in-group failure falls back to the per-run path below.
-		orc := runner.New(runner.Options{Workers: r.Scale.Workers, Streams: r.Streams, Fanout: true, Store: r.Store})
+		var streams trace.SourceProvider
+		if r.Streams != nil {
+			streams = struct{ trace.SourceProvider }{r.Streams}
+		}
+		orc := runner.New(runner.Options{Workers: r.Scale.Workers, Streams: streams, Fanout: true, Store: r.Store})
 		out, err := orc.RunAll(ctx, missing)
 		if err != nil {
 			return nil, err

@@ -23,7 +23,8 @@ import (
 // first, then whole least-recently-used streams are dropped from the
 // pool. The stream that is currently growing is never evicted by its
 // own growth. Release drops one stream the same way when the campaign
-// that reads it is done with it.
+// that reads it is done with it (runner.Options.Streams): a cache shared
+// by several campaigns is handed to each without Release.
 //
 // The cache counts the replayers of each stream it owns. A dropped
 // stream's in-flight replayers keep reading it unharmed, so eviction can
@@ -92,8 +93,8 @@ type Stats struct {
 
 // String renders the snapshot as one log line.
 func (s Stats) String() string {
-	line := fmt.Sprintf("replay cache: %d streams, %.1f MiB, %.1f MiB free, %d hits, %d misses, %d evictions, %d released, %d arenas reused",
-		s.Streams, float64(s.Bytes)/(1<<20), float64(s.FreeBytes)/(1<<20),
+	line := fmt.Sprintf("replay cache: %d streams, %.1f MiB, %.1f MiB free, %.1f MiB allocated, %d hits, %d misses, %d evictions, %d released, %d arenas reused",
+		s.Streams, float64(s.Bytes)/(1<<20), float64(s.FreeBytes)/(1<<20), float64(s.Allocated)/(1<<20),
 		s.Hits, s.Misses, s.Evictions, s.Released, s.Reused)
 	if s.CorruptChunks > 0 || s.Fallbacks > 0 {
 		line += fmt.Sprintf(", %d corrupt chunks, %d regeneration fallbacks",

@@ -78,8 +78,7 @@ type point struct {
 	// entry is the config's place in the plan.
 	entry
 	// stream indexes cfg's primary stream among the streams newPoints
-	// names; -1 when the stream is unnamed, or (after trackStreams) not
-	// released (streams.go).
+	// names; -1 when the stream is unnamed (streams.go).
 	stream int32
 	// prior counts the config's failed fan-out in-group attempts, so a
 	// point that dies inside a group re-enters the per-run retry/backoff
@@ -92,13 +91,12 @@ type point struct {
 
 // newPoints builds a campaign's records: each config's key and, in a
 // sampled campaign, its sample eligibility, with Options.Streams stamped
-// on. bad lists the unhashable configs' failures. When a sampled
-// campaign's provider can release streams (streams.go), refs names the
-// primary stream of each config without a provider of its own;
-// trackStreams decides which of them are released.
+// on. bad lists the unhashable configs' failures. When that provider
+// can release streams (streams.go), refs names the primary stream of
+// each config without a provider of its own.
 func newPoints(cfgs []sim.Config, opts Options) (pts []point, refs *streamRefs, bad []*RunError) {
 	pts = make([]point, len(cfgs))
-	if rel, ok := opts.Streams.(streamReleaser); ok && opts.Sample {
+	if rel, ok := opts.Streams.(streamReleaser); ok {
 		refs = &streamRefs{rel: rel, index: make(map[streamKey]int32), fps: make(map[*trace.Spec]string)}
 	}
 	for i, cfg := range cfgs {

@@ -322,7 +322,7 @@ func TestPlanDerivesOnce(t *testing.T) {
 	}{
 		{"sampled", sampledGrid(), Options{Sample: true, Streams: replay.NewCache(0)}, 17,
 			func(c sim.Config) error { _, err := ConfigKey(profileConfig(c)); return err }},
-		{"fan", sweepGrid(), Options{Fanout: true}, 5,
+		{"fan", sweepGrid(), Options{Fanout: true, Streams: replay.NewCache(0)}, 5,
 			func(c sim.Config) error { _, err := sim.FanGroupKey(c); return err }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -91,6 +91,9 @@ type Options struct {
 	// recorded stream — it is recorded by whichever run needs it first
 	// and replayed read-only by the rest. Results are byte-identical
 	// with or without it (the provider is excluded from config hashing).
+	// A provider with Release (the replay cache) is scoped to this
+	// campaign, which releases each stream after its last reader; to
+	// share one across campaigns, pass it without Release.
 	Streams trace.SourceProvider
 	// Fanout enables sweep fan-out: the planner groups the configs that
 	// share a primary record stream (sim.FanGroupKey), and each group
@@ -456,9 +459,9 @@ type campaign struct {
 	q    *Queue // the shared pool's queue; nil with private workers
 	// profiles holds each profile group's profile config (planSample).
 	profiles []sim.Config
-	// streams counts the unfinished readers of the profile groups'
-	// streams once trackStreams has run; nil when none is released
-	// (streams.go).
+	// streams counts the unfinished readers of the campaign's streams
+	// once trackStreams has run; nil when the provider cannot release
+	// them (streams.go).
 	streams *streamRefs
 }
 
@@ -490,10 +493,10 @@ func (c *campaign) heartbeat() (stop func()) {
 // configs in flight elsewhere wait on plain goroutines. Every profile
 // is runnable at once; each pushes its group's members when it ends,
 // and workers take runnable members before they start another profile,
-// so a sampled campaign runs group by group and each group's recorded
-// stream is released once its last reader has finished (streams.go).
-// Fan-out groups run before the per-run points, one at a time on the
-// campaign's own workers. Shed tasks degrade rather than fail: an
+// so a sampled campaign runs group by group. Fan-out groups run before
+// the per-run points, one at a time on the campaign's own workers.
+// Every recorded stream is released once its last reader has finished
+// (streams.go). Shed tasks degrade rather than fail: an
 // unprofiled candidate runs the full ROI, a shed group's points join
 // the per-run points at rung 0, and only a shed point fails, as
 // ErrCanceled.

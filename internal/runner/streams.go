@@ -9,21 +9,21 @@ import (
 	"repro/internal/trace"
 )
 
-// Stream release: a profile group's profile and members all read one
-// recorded stream (profileConfig keeps the workload and seed), and the
-// campaign's stream cache would otherwise keep every such stream until
-// the campaign ends. When Options.Streams can release streams
-// (streamReleaser — the replay cache can), the campaign counts, for
-// each profile group's primary stream, the readers it has still to
-// finish: every profile on the stream plus every config of the
-// campaign that may still read it (members with their full-ROI
-// fallbacks, full points, fan groups and flight watchers on the same
-// stream). The last reader to finish releases it. A replayer still in
-// flight keeps its stream and reads to its end, and a later Source
-// call records the stream again, byte for byte. Streams outside the
-// profile groups, retries' perturbed-seed streams and configs carrying
-// their own provider are never released, and a provider without
-// Release is untouched.
+// Stream release: a campaign's stream cache would otherwise keep every
+// stream it recorded until the campaign ends, though a P_Induce sweep
+// is done with its workload's stream once its last point lands. When
+// Options.Streams can release streams (streamReleaser — the replay
+// cache can), the campaign counts, for each config's primary stream,
+// the readers it has still to finish: every config that may still read
+// it (full points with their retries, sampled members with their
+// full-ROI fallbacks, fan groups' points with their per-run fallbacks,
+// and flight watchers) plus every profile on it. The last reader to
+// finish releases it, so the next fan group or profile group records
+// over its recycled arenas. A replayer still in flight keeps its stream
+// and reads to its end, and a later Source call records the stream
+// again, byte for byte. Retries' perturbed-seed streams and configs
+// carrying their own provider are never released, and a provider
+// without Release is untouched.
 
 // streamReleaser is the optional trace.SourceProvider extension the
 // campaign releases streams through: Release drops the provider's copy
@@ -37,7 +37,7 @@ type streamReleaser interface {
 // streamRefs names a campaign's primary streams and counts their
 // unfinished readers. newPoints names them: ids lists each distinct
 // stream once, and a record's stream field indexes it. trackStreams
-// counts the readers of the released ones in left.
+// counts their readers in left.
 type streamRefs struct {
 	rel   streamReleaser
 	ids   []streamID
@@ -93,32 +93,20 @@ func (r *streamRefs) add(cfg sim.Config) int32 {
 	return s
 }
 
-// trackStreams counts the readers of every profile group's stream in
-// r, the streams newPoints named, untracks every other stream, and
-// orders pg so groups that share a stream run next to each other. Only
-// then does it publish r as c.streams: a store hit finished earlier
-// reads no stream. It does nothing when no stream was named.
+// trackStreams counts the readers of every stream newPoints named in
+// r and orders pg so profile groups that share a stream run next to
+// each other. Only then does it publish r as c.streams: a store hit,
+// finished earlier, reads no stream and is not counted. It does nothing
+// when no stream was named.
 func (c *campaign) trackStreams(pg [][]int, r *streamRefs) {
-	if r == nil || len(pg) == 0 {
+	if r == nil {
 		return
-	}
-	profiled := make([]bool, len(r.ids))
-	for _, g := range pg {
-		if s := c.pts[g[0]].stream; s >= 0 {
-			profiled[s] = true
-		}
 	}
 	r.left = make([]atomic.Int32, len(r.ids))
 	for i := range c.pts {
-		p := &c.pts[i]
-		switch p.exec {
-		case execFull, execSampled, execFan, execFlight:
-			if p.stream >= 0 && profiled[p.stream] {
-				r.left[p.stream].Add(1)
-				continue
-			}
+		if p := &c.pts[i]; p.stream >= 0 && p.exec != execStore {
+			r.left[p.stream].Add(1)
 		}
-		p.stream = -1
 	}
 	for _, g := range pg {
 		if s := c.pts[g[0]].stream; s >= 0 {
